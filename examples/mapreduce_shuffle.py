@@ -63,11 +63,11 @@ def main() -> None:
                        title=f"shuffling {len(partitions)} mapper partitions"))
     print("all partitions verified sorted - reducers can stream-merge them.")
 
-    # Reducer-side check: merging the sorted partitions is now a single
-    # linear pass (the sort-merge join primitive of §I).
-    from repro.engine.stage import merge_runs_numpy
+    # Reducer-side check: the sorted partitions merge into one sorted
+    # stream (the sort-merge join primitive of §I).
+    from repro.engine.stage import merge_runs
 
-    merged = merge_runs_numpy(sorted_partitions)
+    merged = merge_runs(sorted_partitions)
     assert merged.size == sum(p.size for p in partitions)
     assert bool(np.all(merged[:-1] <= merged[1:]))
     print(f"reduce-side merge of {merged.size:,} records verified.")

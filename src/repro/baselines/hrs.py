@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineSorter
 from repro.baselines.published import PUBLISHED_SORTERS, PublishedSorter
-from repro.engine.stage import merge_runs_numpy
+from repro.engine.stage import merge_runs
 from repro.errors import ConfigurationError
 from repro.units import GB
 
@@ -67,7 +67,7 @@ class HybridRadixSorter(BaselineSorter):
             lsd_radix_sort(data[start : start + self.scale_chunk_records])
             for start in range(0, data.size, self.scale_chunk_records)
         ]
-        out = merge_runs_numpy(chunks)
+        out = merge_runs(chunks)
         self.check_sorted(data, out)
         return out
 

@@ -71,13 +71,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
              "default: serial, results are identical either way)")
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--merge-backend", choices=("auto", "numpy", "python"), default=None,
-        help="merge-kernel backend (default: BONSAI_MERGE_BACKEND or 'auto'; "
-             "'python' forces the scalar kernels, outputs are identical)")
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by the workload-running subcommands."""
     parser.add_argument(
@@ -128,7 +121,6 @@ def _configure_sort(srt: argparse.ArgumentParser) -> None:
                           "digest (the identity served results are "
                           "compared against)")
     _add_jobs_flag(srt)
-    _add_backend_flag(srt)
     _add_obs_flags(srt)
 
 
@@ -178,7 +170,6 @@ def _configure_bench(ben: argparse.ArgumentParser) -> None:
                      help="override every scenario's workload seed (keeps "
                           "serial and parallel runs comparable)")
     _add_jobs_flag(ben)
-    _add_backend_flag(ben)
     _add_obs_flags(ben)
 
 
@@ -199,7 +190,6 @@ def _configure_serve(srv: argparse.ArgumentParser) -> None:
                      help="LRU result-cache entries, keyed by job digest; "
                           "0 disables caching (default 128)")
     _add_jobs_flag(srv)
-    _add_backend_flag(srv)
     _add_obs_flags(srv)
 
 
@@ -669,10 +659,6 @@ def _run_command(args: argparse.Namespace, argv: list[str] | None) -> int:
     so the default path stays allocation-free.
     """
     handler = COMMANDS[args.command]
-    if getattr(args, "merge_backend", None):
-        from repro.network import flims
-
-        flims.set_backend(args.merge_backend)
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
     manifest = getattr(args, "manifest", None)

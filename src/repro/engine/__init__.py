@@ -2,8 +2,8 @@
 
 Executes the merge-sort procedure of Fig. 2 end to end:
 
-* :mod:`repro.engine.stage` — one merge stage, functionally (vectorised
-  numpy k-way merge) or cycle-simulated (via :mod:`repro.hw`).
+* :mod:`repro.engine.stage` — one merge stage, functionally (a stable
+  numpy sort per merge group) or cycle-simulated (via :mod:`repro.hw`).
 * :mod:`repro.engine.sorter` — the recursive-stage DRAM sorter (§IV-A).
 * :mod:`repro.engine.unrolled` — unrolled execution: range-partitioned
   (§III-A2) and address-range with AMT idling (§IV-B).
@@ -13,7 +13,7 @@ Executes the merge-sort procedure of Fig. 2 end to end:
 """
 
 from repro.engine.results import SortOutcome
-from repro.engine.stage import merge_runs_numpy, merge_stage, merge_two_sorted
+from repro.engine.stage import merge_runs, merge_stage
 from repro.engine.sorter import AmtSorter
 from repro.engine.unrolled import UnrolledSorter
 from repro.engine.pipelined import PipelinedSorter
@@ -21,9 +21,8 @@ from repro.engine.ssd_sorter import SsdSorter
 
 __all__ = [
     "SortOutcome",
-    "merge_runs_numpy",
+    "merge_runs",
     "merge_stage",
-    "merge_two_sorted",
     "AmtSorter",
     "UnrolledSorter",
     "PipelinedSorter",

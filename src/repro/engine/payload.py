@@ -1,11 +1,10 @@
-"""Key/value sorting: payloads follow their keys through the merge.
+"""Key/value sorting: payloads follow their keys.
 
 The AMT moves whole records — key and value together (§II: "any key and
 value width up to 512 bits").  The functional engine models that by
-carrying a payload array through the same merge dataflow as the keys,
-using permutation-producing merges.  Merges are stable: records with
-equal keys keep their input order (the hardware merger's port-A
-preference gives the same guarantee).
+applying the keys' stable sort permutation to the payload array: records
+with equal keys keep their input order, the same guarantee the hardware
+merger's port-A preference gives.  Timing is the key sorter's.
 """
 
 from __future__ import annotations
@@ -21,53 +20,9 @@ from repro.engine.sorter import AmtSorter
 from repro.errors import ConfigurationError
 
 
-def merge_two_sorted_with_perm(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable two-way merge returning output positions for both inputs.
-
-    Returns ``(merged_keys, left_positions, right_positions)`` where
-    ``merged[left_positions[i]] == left_keys[i]`` (ties keep left first).
-    """
-    left_keys = np.asarray(left_keys)
-    right_keys = np.asarray(right_keys)
-    merged = np.empty(
-        left_keys.size + right_keys.size, dtype=np.result_type(left_keys, right_keys)
-    )
-    left_positions = np.arange(left_keys.size) + np.searchsorted(
-        right_keys, left_keys, side="left"
-    )
-    right_positions = np.arange(right_keys.size) + np.searchsorted(
-        left_keys, right_keys, side="right"
-    )
-    merged[left_positions] = left_keys
-    merged[right_positions] = right_keys
-    return merged, left_positions, right_positions
-
-
-@dataclass
-class _Run:
-    """A sorted run with its payload riding along."""
-
-    keys: np.ndarray
-    payload: np.ndarray
-
-
-def _merge_runs(left: _Run, right: _Run) -> _Run:
-    merged_keys, left_pos, right_pos = merge_two_sorted_with_perm(
-        left.keys, right.keys
-    )
-    payload = np.empty(
-        left.payload.size + right.payload.size, dtype=left.payload.dtype
-    )
-    payload[left_pos] = left.payload
-    payload[right_pos] = right.payload
-    return _Run(keys=merged_keys, payload=payload)
-
-
 @dataclass
 class KeyValueSorter:
-    """Sorts (key, payload) record streams through the merge dataflow.
+    """Sorts (key, payload) record streams; payloads follow their keys.
 
     Timing is delegated to a plain :class:`AmtSorter` over the keys (the
     record width used for bandwidth is the *full* record width, passed
@@ -101,38 +56,15 @@ class KeyValueSorter:
             outcome = self._timing_sorter.sort(keys)
             return outcome, payload.copy()
 
-        # Split into presorted runs (stable within each run).
-        runs: list[_Run] = []
-        for start in range(0, keys.size, self.presort_run):
-            chunk_keys = keys[start : start + self.presort_run]
-            chunk_payload = payload[start : start + self.presort_run]
-            order = np.argsort(chunk_keys, kind="stable")
-            runs.append(
-                _Run(keys=chunk_keys[order].copy(), payload=chunk_payload[order].copy())
-            )
-        # Merge stages with the configured fan-in.
-        while len(runs) > 1:
-            merged: list[_Run] = []
-            for start in range(0, len(runs), self.config.leaves):
-                group = runs[start : start + self.config.leaves]
-                while len(group) > 1:
-                    next_group = []
-                    for index in range(0, len(group) - 1, 2):
-                        next_group.append(_merge_runs(group[index], group[index + 1]))
-                    if len(group) % 2:
-                        next_group.append(group[-1])
-                    group = next_group
-                merged.append(group[0])
-            runs = merged
-
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
         outcome = self._timing_sorter.sort(keys)  # modeled timing + stages
-        result = runs[0]
-        if not np.array_equal(outcome.data, result.keys):
+        if not np.array_equal(outcome.data, sorted_keys):
             raise ConfigurationError(
                 "payload path diverged from key path; this is a bug"
             )
         final = SortOutcome(
-            data=result.keys,
+            data=sorted_keys,
             seconds=outcome.seconds,
             stages=outcome.stages,
             record_bytes=self.arch.record_bytes,
@@ -140,4 +72,4 @@ class KeyValueSorter:
             traffic=outcome.traffic,
             detail={"payload_bytes": int(payload.dtype.itemsize)},
         )
-        return final, result.payload
+        return final, payload[order]

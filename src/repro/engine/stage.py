@@ -1,13 +1,15 @@
 """One merge stage: the functional data path.
 
-The engine's "model" mode moves the actual data through an honest merge
-(vectorised two-way merges arranged in a tournament, exactly the dataflow
-of a binary merge tree) while timing comes from the performance model.
-``simulate`` mode delegates to the cycle-level simulator instead.
+The engine's "model" mode only has to produce the sorted data; its
+timing comes from the performance model (§IV-A), not from how the
+merge is computed here.  Each group of ``leaves`` runs therefore merges
+with one stable numpy sort of its concatenation, while
+:func:`merge_stage` keeps the AMT's grouping so the stage and group
+counts the timing model charges are unchanged.  ``simulate`` mode
+delegates to the cycle-level simulator instead.
 
-All merges are stable with respect to key order; within equal keys the
-left (lower-indexed-run) elements come first, matching the hardware
-merger's ``<=`` port preference.
+The merge is stable: within equal keys, records from lower-indexed runs
+come first, matching the hardware merger's ``<=`` port preference.
 """
 
 from __future__ import annotations
@@ -15,57 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network import flims
 
 
-def merge_two_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Stable merge of two sorted arrays (left wins ties).
-
-    Backend-dispatched through :mod:`repro.network.flims`: the numpy
-    path computes each element's position in the merged output via
-    ``searchsorted`` (left elements shift right by the count of
-    *strictly smaller* right elements, so ties keep left first; a
-    genuine two-way merge, no re-sorting of the payload); the scalar
-    path is the classic two-pointer merge with the same tie rule, used
-    when the backend is forced to ``python`` or the merge is too small
-    to amortize the numpy call overhead.  Both produce bit-identical
-    output arrays.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if left.size == 0:
-        return right.copy()
-    if right.size == 0:
-        return left.copy()
-    if not flims.use_numpy_arrays():
-        merged = flims.merge_runs_python(left.tolist(), right.tolist())
-        return np.asarray(merged, dtype=np.result_type(left, right))
-    out = np.empty(left.size + right.size, dtype=np.result_type(left, right))
-    left_positions = np.arange(left.size) + np.searchsorted(right, left, side="left")
-    right_positions = np.arange(right.size) + np.searchsorted(left, right, side="right")
-    out[left_positions] = left
-    out[right_positions] = right
-    return out
-
-
-def merge_runs_numpy(runs: list[np.ndarray]) -> np.ndarray:
-    """Merge any number of sorted runs through a binary tournament.
-
-    This is the same dataflow as an AMT with ``len(runs)`` leaves: runs
-    merge pairwise level by level until one remains.
-    """
+def merge_runs(runs: list[np.ndarray]) -> np.ndarray:
+    """Merge any number of sorted runs into one (stable)."""
     if not runs:
         return np.empty(0, dtype=np.uint64)
-    level = [np.asarray(run) for run in runs]
-    while len(level) > 1:
-        # bonsai-lint: disable=hot-loop-alloc -- one list per merge level (log n levels), not per record
-        next_level = []
-        for index in range(0, len(level) - 1, 2):
-            next_level.append(merge_two_sorted(level[index], level[index + 1]))
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-    return level[0]
+    return np.sort(np.concatenate(runs), kind="stable")
 
 
 def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
@@ -80,7 +38,7 @@ def merge_stage(runs: list[np.ndarray], leaves: int) -> list[np.ndarray]:
         return [np.empty(0, dtype=np.uint64)]
     merged = []
     for start in range(0, len(runs), leaves):
-        merged.append(merge_runs_numpy(runs[start : start + leaves]))
+        merged.append(merge_runs(runs[start : start + leaves]))
     return merged
 
 

@@ -24,7 +24,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
 from repro.engine.sorter import AmtSorter
-from repro.engine.stage import merge_runs_numpy
+from repro.engine.stage import merge_runs
 from repro.errors import ConfigurationError
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
@@ -273,7 +273,7 @@ class UnrolledSorter:
                 next_runs = []
                 for start in range(0, len(runs), self.config.leaves):
                     next_runs.append(
-                        merge_runs_numpy(runs[start : start + self.config.leaves])
+                        merge_runs(runs[start : start + self.config.leaves])
                     )
             seconds += total_bytes / (groups * per_amt_rate)
             traffic.record_read("dram", total_bytes)

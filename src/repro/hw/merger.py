@@ -31,13 +31,37 @@ stream spaces).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.hw.fifo import Fifo
 from repro.hw.probes import MergerStats
 from repro.hw.terminal import TERMINAL, is_terminal
-from repro.network.flims import tuple_merge_kernel
 from repro.units import is_power_of_two
+
+
+def tuple_merge_kernel(k: int) -> Callable[[tuple, tuple], tuple[tuple, tuple]]:
+    """Bind the (lower, upper) 2k-tuple merge kernel for width ``k``.
+
+    For integer keys the 2k bitonic half-merger outputs the sorted
+    permutation of its inputs, so the kernel sorts the concatenation
+    natively (Timsort's galloping merge of two sorted runs) and splits
+    it into the lower and upper ``k`` records.  ``k == 1`` degenerates
+    to a single compare-exchange; ties keep the left operand first.
+    """
+    if k == 1:
+        def compare_swap(left: tuple, right: tuple) -> tuple[tuple, tuple]:
+            if right[0] < left[0]:
+                return right, left
+            return left, right
+
+        return compare_swap
+
+    def merge_halves(left: tuple, right: tuple) -> tuple[tuple, tuple]:
+        merged = sorted(left + right)
+        return tuple(merged[:k]), tuple(merged[k:])
+
+    return merge_halves
 
 
 @dataclass
@@ -72,8 +96,8 @@ class KMerger:
     def __post_init__(self) -> None:
         if not is_power_of_two(self.k):
             raise SimulationError(f"merger width must be a power of two, got {self.k}")
-        # The 2k half-merger datapath, resolved once against the active
-        # flims backend so the per-cycle path carries no dispatch.
+        # The 2k half-merger datapath, bound once per merger so the
+        # per-cycle path carries no width dispatch.
         self._merge_kernel = tuple_merge_kernel(self.k)
         self.stats = MergerStats(name=self.name, k=self.k)
 
@@ -228,11 +252,10 @@ class KMerger:
         the compare-exchange stages element by element per cycle is the
         simulator's hottest loop, and for integer keys the network's
         output is simply the sorted permutation of the 2k inputs — so
-        the model delegates to the FLiMS kernel bound at construction
-        (:func:`repro.network.flims.tuple_merge_kernel`), which is
-        bit-identical across its scalar and vectorized backends.
-        ``tests/network`` verifies the bitonic network itself produces
-        the same sorted output over exhaustive and randomized inputs.
+        the model delegates to the kernel bound at construction
+        (:func:`tuple_merge_kernel`).  ``tests/network`` verifies the
+        bitonic network itself produces the same sorted output over
+        exhaustive and randomized inputs.
         """
         return self._merge_kernel(left, right)
 

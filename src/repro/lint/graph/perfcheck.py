@@ -65,7 +65,6 @@ HOT_ROOT_FUNCTIONS: tuple[str, ...] = (
 HOT_ROOT_PREFIXES: tuple[str, ...] = (
     "repro.hw.fifo.Fifo.",         # per-record FIFO ops
     "repro.engine.stage.",         # merge kernels
-    "repro.network.flims.",        # backend-dispatched merge kernels
     "repro.records.keyhash.",      # per-record key hashing
 )
 

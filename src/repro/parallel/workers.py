@@ -30,19 +30,19 @@ def worker_merge_group(task: tuple) -> int:
     """Merge one group of runs: shared block in, shared slot out.
 
     ``task = (in_desc, out_desc, group_index, start, stop)`` — merge
-    input runs ``[start, stop)`` through the binary tournament and write
+    input runs ``[start, stop)`` with :func:`merge_runs` and write
     the result into output slot ``group_index``.  Returns the group
     index as an acknowledgement (the data never rides the pickle).
     """
     from multiprocessing import shared_memory
 
-    from repro.engine.stage import merge_runs_numpy
+    from repro.engine.stage import merge_runs
 
     in_desc, out_desc, group_index, start, stop = task
     block = shared_memory.SharedMemory(name=in_desc.name)
     try:
         runs = [view_array(in_desc, i, block) for i in range(start, stop)]
-        merged = merge_runs_numpy(runs)
+        merged = merge_runs(runs)
         write_array(out_desc, group_index, merged)
     finally:
         block.close()

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.network import flims
 from repro.records.keyhash import fnv1a_hash_batch, hash_value_to_index
 
 KEY_BYTES = 10
@@ -108,20 +107,17 @@ def pack_records(
         allowing payload recovery after the sort (collisions map to
         multiple ordinals, resolved by comparing values).
 
-    Dispatches through the :mod:`repro.network.flims` backend switch:
-    the vectorized codec packs whole batches at once, the scalar codec
-    walks record by record; their outputs are bit-identical
-    (``tests/records/test_gensort.py`` pins this across batch shapes).
+    Packs the whole batch at once with the vectorized codec;
+    ``tests/records/test_gensort.py`` pins it bit-identical to the
+    per-record reference codec across batch shapes.
     """
-    if flims.use_numpy(len(records)):
-        return _pack_records_vectorized(records)
-    return _pack_records_scalar(records)
+    return _pack_records_vectorized(records)
 
 
 def _pack_records_scalar(
     records: list[GensortRecord],
 ) -> tuple[np.ndarray, np.ndarray, dict[int, list[int]]]:
-    """Reference per-record packing loop (pure-Python fallback)."""
+    """Reference per-record packing loop (the codec's test oracle)."""
     sort_keys = np.empty(len(records), dtype=np.uint64)
     packed_low = np.empty(len(records), dtype=np.uint64)
     # defaultdict avoids setdefault's per-record empty-list allocation
@@ -148,8 +144,6 @@ def _pack_records_vectorized(
     index-table fill remains a Python loop, and it does no hashing.
     """
     n_records = len(records)
-    if not n_records:
-        return _pack_records_scalar(records)
     keys = np.frombuffer(
         b"".join(record.key for record in records), dtype=np.uint8
     ).reshape(n_records, KEY_BYTES)

@@ -66,9 +66,10 @@ def summarize(keys: np.ndarray) -> SortSummary:
         return SortSummary(
             records=0, checksum=0, is_sorted=True, first_violation=None, duplicates=0
         )
-    diffs = np.diff(keys.astype(np.int64))
-    violations = np.flatnonzero(diffs < 0)
-    duplicates = int(np.count_nonzero(diffs == 0))
+    # Compare neighbours in the keys' own dtype: a signed diff would
+    # wrap uint64 keys >= 2**63 and misjudge their order.
+    violations = np.flatnonzero(keys[1:] < keys[:-1])
+    duplicates = int(np.count_nonzero(keys[1:] == keys[:-1]))
     return SortSummary(
         records=int(keys.size),
         checksum=_checksum(keys),
@@ -88,9 +89,7 @@ def content_digest(keys: np.ndarray) -> str:
     """
     import hashlib
 
-    return hashlib.sha256(
-        np.asarray(list(keys), dtype=np.uint64).tobytes()
-    ).hexdigest()[:16]
+    return hashlib.sha256(np.asarray(keys, dtype=np.uint64).tobytes()).hexdigest()[:16]
 
 
 def validate_sort(input_keys: np.ndarray, output_keys: np.ndarray) -> SortSummary:

@@ -8,9 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import presets
 from repro.core.configuration import AmtConfig
-from repro.engine.payload import KeyValueSorter, merge_two_sorted_with_perm
+from repro.engine.payload import KeyValueSorter
 from repro.errors import ConfigurationError
-from repro.records.workloads import duplicate_heavy, uniform_random
+from repro.records.record import U64
+from repro.records.workloads import duplicate_heavy, nearly_sorted, uniform_random
+
+#: Oracle inputs: the benchmark's three key distributions, plus uint64
+#: keys that all sit at or above 2**63 (where a signed view would wrap).
+WORKLOADS = {
+    "uniform": lambda n: uniform_random(n, U64, seed=21),
+    "duplicates": lambda n: duplicate_heavy(n, U64, seed=22, distinct=7),
+    "nearly_sorted": lambda n: nearly_sorted(n, U64, seed=23),
+    "uint64_high": lambda n: uniform_random(n, U64, seed=24) | np.uint64(1 << 63),
+}
 
 
 @pytest.fixture(scope="module")
@@ -22,33 +32,32 @@ def sorter():
 
 
 class TestPermMerge:
-    def test_positions_place_keys(self):
-        left = np.array([1, 4, 7], dtype=np.uint32)
-        right = np.array([2, 4, 9], dtype=np.uint32)
-        merged, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
-        assert merged.tolist() == [1, 2, 4, 4, 7, 9]
-        assert merged[left_pos].tolist() == left.tolist()
-        assert merged[right_pos].tolist() == right.tolist()
+    """The payload comes back as the keys' stable sort permutation when
+    it holds each record's input position."""
 
-    def test_ties_left_first(self):
-        left = np.array([5], dtype=np.uint32)
-        right = np.array([5], dtype=np.uint32)
-        _, left_pos, right_pos = merge_two_sorted_with_perm(left, right)
-        assert left_pos[0] < right_pos[0]
+    def test_positions_place_keys(self, sorter):
+        # Two presorted runs back to back.
+        keys = np.array([1, 4, 7, 2, 4, 9], dtype=np.uint32)
+        outcome, positions = sorter.sort(keys, np.arange(keys.size))
+        assert outcome.data.tolist() == [1, 2, 4, 4, 7, 9]
+        assert keys[positions].tolist() == outcome.data.tolist()
+
+    def test_ties_left_first(self, sorter):
+        keys = np.array([5, 5], dtype=np.uint32)
+        _, positions = sorter.sort(keys, np.arange(keys.size))
+        assert positions.tolist() == [0, 1]
 
     @given(
         st.lists(st.integers(0, 30), max_size=20).map(sorted),
         st.lists(st.integers(0, 30), max_size=20).map(sorted),
     )
     @settings(max_examples=60)
-    def test_property(self, left, right):
-        merged, left_pos, right_pos = merge_two_sorted_with_perm(
-            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
-        )
-        assert merged.tolist() == sorted(left + right)
-        assert sorted(list(left_pos) + list(right_pos)) == list(
-            range(len(left) + len(right))
-        )
+    def test_property(self, sorter, left, right):
+        keys = np.array(left + right, dtype=np.int64)
+        outcome, positions = sorter.sort(keys, np.arange(keys.size))
+        assert outcome.data.tolist() == sorted(left + right)
+        assert sorted(positions.tolist()) == list(range(len(left) + len(right)))
+        assert np.array_equal(positions, np.argsort(keys, kind="stable"))
 
 
 class TestKeyValueSorter:
@@ -90,6 +99,16 @@ class TestKeyValueSorter:
         ).sort(keys)
         assert outcome.seconds == pytest.approx(plain.seconds)
         assert outcome.stages == plain.stages
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_payload_equals_stable_argsort(self, sorter, workload):
+        keys = WORKLOADS[workload](20_000)
+        payload = np.arange(keys.size, dtype=np.uint64) * np.uint64(3)
+        outcome, sorted_payload = sorter.sort(keys, payload)
+        assert np.array_equal(outcome.data, np.sort(keys))
+        assert np.array_equal(
+            sorted_payload, payload[np.argsort(keys, kind="stable")]
+        )
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)

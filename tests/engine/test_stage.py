@@ -6,40 +6,50 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import presets
+from repro.core.configuration import AmtConfig
+from repro.engine.sorter import AmtSorter
 from repro.engine.stage import (
     check_stage_invariants,
-    merge_runs_numpy,
+    merge_runs,
     merge_stage,
-    merge_two_sorted,
     split_into_runs,
 )
 from repro.errors import ConfigurationError
+from repro.records.record import U64
+from repro.records.workloads import duplicate_heavy, nearly_sorted, uniform_random
+
+#: Oracle inputs: the benchmark's three key distributions, plus uint64
+#: keys that all sit at or above 2**63 (where a signed view would wrap).
+WORKLOADS = {
+    "uniform": lambda n: uniform_random(n, U64, seed=11),
+    "duplicates": lambda n: duplicate_heavy(n, U64, seed=12, distinct=7),
+    "nearly_sorted": lambda n: nearly_sorted(n, U64, seed=13),
+    "uint64_high": lambda n: uniform_random(n, U64, seed=14) | np.uint64(1 << 63),
+}
 
 
 class TestMergeTwoSorted:
     def test_basic(self):
         left = np.array([1, 3, 5], dtype=np.uint32)
         right = np.array([2, 4, 6], dtype=np.uint32)
-        assert merge_two_sorted(left, right).tolist() == [1, 2, 3, 4, 5, 6]
+        assert merge_runs([left, right]).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_empty_sides(self):
         data = np.array([1, 2], dtype=np.uint32)
         empty = np.array([], dtype=np.uint32)
-        assert merge_two_sorted(data, empty).tolist() == [1, 2]
-        assert merge_two_sorted(empty, data).tolist() == [1, 2]
-        assert merge_two_sorted(empty, empty).size == 0
+        assert merge_runs([data, empty]).tolist() == [1, 2]
+        assert merge_runs([empty, data]).tolist() == [1, 2]
+        assert merge_runs([empty, empty]).size == 0
 
     def test_stability_ties_keep_left_first(self):
-        # Verify with a structured dtype-free proxy: equal keys from the
-        # left must land before equal keys from the right.
+        # Equal bare keys are indistinguishable; the left-first order of
+        # equal keys is observable through payloads (test_payload.py).
         left = np.array([5, 5], dtype=np.uint32)
         right = np.array([5], dtype=np.uint32)
-        out = merge_two_sorted(left, right)
+        out = merge_runs([left, right])
         assert out.tolist() == [5, 5, 5]
-        # Positional check via searchsorted arithmetic: left elements
-        # occupy indices 0 and 1.
-        left_positions = np.arange(left.size) + np.searchsorted(right, left, "left")
-        assert left_positions.tolist() == [0, 1]
+        assert out.dtype == np.uint32
 
     @given(
         st.lists(st.integers(0, 1000), max_size=50).map(sorted),
@@ -47,8 +57,8 @@ class TestMergeTwoSorted:
     )
     @settings(max_examples=100)
     def test_property(self, left, right):
-        out = merge_two_sorted(
-            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        out = merge_runs(
+            [np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)]
         )
         assert out.tolist() == sorted(left + right)
 
@@ -56,15 +66,15 @@ class TestMergeTwoSorted:
 class TestMergeRuns:
     def test_tournament(self):
         runs = [np.array(sorted([7 * i % 13, 5 * i % 11, i])) for i in range(7)]
-        out = merge_runs_numpy(runs)
+        out = merge_runs(runs)
         assert out.tolist() == sorted(x for run in runs for x in run)
 
     def test_empty_list(self):
-        assert merge_runs_numpy([]).size == 0
+        assert merge_runs([]).size == 0
 
     def test_single_run_passthrough(self):
         run = np.array([1, 2, 3])
-        assert merge_runs_numpy([run]).tolist() == [1, 2, 3]
+        assert merge_runs([run]).tolist() == [1, 2, 3]
 
 
 class TestMergeStage:
@@ -88,6 +98,29 @@ class TestMergeStage:
         out = merge_stage(runs, leaves=4)
         assert out[0].tolist() == sorted(np.concatenate(runs[:4]).tolist())
         assert out[1].tolist() == sorted(np.concatenate(runs[4:]).tolist())
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_matches_np_sort_per_group(self, workload):
+        runs = split_into_runs(WORKLOADS[workload](3_000), 16)
+        out = merge_stage(runs, leaves=8)
+        assert len(out) == -(-len(runs) // 8)
+        for index, run in enumerate(out):
+            expected = np.sort(np.concatenate(runs[index * 8 : (index + 1) * 8]))
+            assert run.dtype == np.uint64
+            assert np.array_equal(run, expected)
+
+
+class TestModelModeOracle:
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_model_mode_equals_np_sort(self, workload):
+        data = WORKLOADS[workload](20_000)
+        sorter = AmtSorter(
+            config=AmtConfig(p=8, leaves=16), hardware=presets.aws_f1().hardware
+        )
+        outcome = sorter.sort(data)
+        assert outcome.data.dtype == data.dtype
+        assert np.array_equal(outcome.data, np.sort(data))
+        assert outcome.stages >= 2  # several merge stages, not one group
 
 
 class TestSplitIntoRuns:

@@ -1,14 +1,13 @@
-"""Differential suite for the FLiMS merge kernels (repro.network.flims).
+"""Differential suite for the FLiMS-style merge kernels.
 
-The vectorized record path's whole correctness argument rests on one
-claim: every kernel behind the backend switch is **bit-identical** to
-its scalar reference — same values, same native ``int`` types, same
-tie behaviour — so swapping backends can never change a simulation,
-digest or cycle count.  This suite pins that claim across ≥32 seeds,
-every paper-relevant merger width, duplicate-heavy key spaces, ragged
-batch shapes, and both the numpy-present and numpy-absent
-configurations (the latter via a forced ``python`` backend and a
-simulated missing numpy).
+Two kernels carry the merge data: the scalar 2k half-merger every
+simulated merger cycle runs (:func:`repro.hw.merger.tuple_merge_kernel`)
+and the functional model-mode merge (:func:`repro.engine.stage.merge_runs`).
+This suite pins both against independent references — a numpy sort for
+the tuple kernel, and the cycle-level simulator for the run merge — so
+neither can change a simulation, digest or cycle count unnoticed.  It
+covers ≥32 seeds, every paper-relevant merger width, duplicate-heavy key
+spaces and ragged run shapes.
 """
 
 from __future__ import annotations
@@ -18,24 +17,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine.stage import merge_two_sorted
-from repro.errors import ConfigurationError
+from repro.engine.stage import merge_runs
+from repro.hw.merger import tuple_merge_kernel
 from repro.hw.tree import simulate_merge
-from repro.network import flims
-from repro.network.flims import (
-    BACKENDS,
-    NUMPY_WIDTH_THRESHOLD,
-    _merge_halves_numpy,
-    _merge_halves_python,
-    available_backends,
-    forced_backend,
-    get_backend,
-    merge_runs_python,
-    set_backend,
-    tuple_merge_kernel,
-    use_numpy,
-    use_numpy_arrays,
-)
 
 SEEDS = range(32)
 WIDTHS = (2, 4, 8, 16, 32)
@@ -45,43 +29,18 @@ def _sorted_tuple(rng: random.Random, k: int, key_range: int) -> tuple:
     return tuple(sorted(rng.randrange(0, key_range) for _ in range(k)))
 
 
-class TestBackendSelection:
-    def test_default_backend_is_auto(self):
-        assert get_backend() in BACKENDS
+def _numpy_halves(left: tuple, right: tuple, k: int) -> tuple[tuple, tuple]:
+    merged = np.sort(np.asarray(left + right, dtype=np.int64), kind="stable").tolist()
+    return tuple(merged[:k]), tuple(merged[k:])
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown merge backend"):
-            set_backend("fortran")
 
-    def test_forced_backend_restores_on_exit(self):
-        before = get_backend()
-        with forced_backend("python"):
-            assert get_backend() == "python"
-            assert not use_numpy(10**9)
-            assert not use_numpy_arrays()
-        assert get_backend() == before
-
-    def test_auto_threshold_splits_narrow_from_wide(self):
-        with forced_backend("auto"):
-            assert not use_numpy(NUMPY_WIDTH_THRESHOLD - 1)
-            assert use_numpy(NUMPY_WIDTH_THRESHOLD)
-
-    def test_numpy_backend_forces_everywhere(self):
-        with forced_backend("numpy"):
-            assert use_numpy(2)
-            assert use_numpy_arrays()
-
-    def test_available_backends_include_python(self):
-        assert "python" in available_backends()
-        assert "auto" in available_backends()
-
-    def test_missing_numpy_degrades_and_rejects(self, monkeypatch):
-        monkeypatch.setattr(flims, "_np", None)
-        assert not use_numpy(10**9)
-        assert not use_numpy_arrays()
-        assert available_backends() == ("auto", "python")
-        with pytest.raises(ConfigurationError, match="numpy is not importable"):
-            set_backend("numpy")
+def _simulated(left: np.ndarray, right: np.ndarray) -> list[int]:
+    """The cycle-level simulator's merge of two runs (one AMT(2, 2) group)."""
+    out, _ = simulate_merge(
+        2, 2, [left.tolist(), right.tolist()], check_sorted_inputs=False
+    )
+    assert len(out) == 1
+    return out[0]
 
 
 class TestTupleKernel:
@@ -91,9 +50,7 @@ class TestTupleKernel:
         rng = random.Random(seed)
         left = _sorted_tuple(rng, k, 1 << 30)
         right = _sorted_tuple(rng, k, 1 << 30)
-        assert _merge_halves_numpy(left, right, k) == _merge_halves_python(
-            left, right, k
-        )
+        assert tuple_merge_kernel(k)(left, right) == _numpy_halves(left, right, k)
 
     @pytest.mark.parametrize("k", WIDTHS)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -101,27 +58,13 @@ class TestTupleKernel:
         rng = random.Random(1000 + seed)
         left = _sorted_tuple(rng, k, 4)
         right = _sorted_tuple(rng, k, 4)
-        assert _merge_halves_numpy(left, right, k) == _merge_halves_python(
-            left, right, k
-        )
-
-    def test_numpy_kernel_returns_native_ints(self):
-        lower, upper = _merge_halves_numpy((1, 3), (2, 4), 2)
-        assert all(type(x) is int for x in lower + upper)
+        assert tuple_merge_kernel(k)(left, right) == _numpy_halves(left, right, k)
 
     def test_halves_partition_and_sort(self):
-        lower, upper = _merge_halves_python((1, 5, 9), (2, 6, 7), 3)
+        lower, upper = tuple_merge_kernel(3)((1, 5, 9), (2, 6, 7))
         assert lower == (1, 2, 5)
         assert upper == (6, 7, 9)
         assert max(lower) <= min(upper)
-
-    def test_kernel_binding_respects_backend(self):
-        with forced_backend("numpy"):
-            numpy_kernel = tuple_merge_kernel(4)
-        with forced_backend("python"):
-            python_kernel = tuple_merge_kernel(4)
-        left, right = (1, 4, 6, 8), (2, 3, 5, 7)
-        assert numpy_kernel(left, right) == python_kernel(left, right)
 
     def test_width_one_is_compare_swap(self):
         kernel = tuple_merge_kernel(1)
@@ -130,6 +73,19 @@ class TestTupleKernel:
         # Ties keep the left operand first (the merger's <= preference).
         assert kernel((3,), (3,)) == ((3,), (3,))
 
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_left_wins_ties(self, k):
+        # Floats and ints compare equal but keep their type, so the
+        # output shows which operand an equal key came from.
+        left = tuple(float(x) for x in range(1, k + 1))
+        right = tuple(range(1, k + 1))
+        lower, upper = tuple_merge_kernel(k)(left, right)
+        merged = lower + upper
+        assert merged == tuple(sorted(left + right))
+        for position in range(0, 2 * k, 2):
+            assert type(merged[position]) is float
+            assert type(merged[position + 1]) is int
+
 
 class TestRunKernel:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -137,50 +93,50 @@ class TestRunKernel:
         rng = random.Random(seed)
         left = sorted(rng.randrange(0, 100) for _ in range(rng.randrange(0, 40)))
         right = sorted(rng.randrange(0, 100) for _ in range(rng.randrange(0, 40)))
-        assert merge_runs_python(left, right) == sorted(left + right)
+        merged = merge_runs([np.asarray(left, dtype=np.uint64), np.asarray(right, dtype=np.uint64)])
+        assert merged.tolist() == sorted(left + right)
 
     def test_left_wins_ties(self):
         # Distinguishable equal keys: floats vs ints compare equal but
         # keep their object identity through the merge.
-        left = [1, 2.0, 3]
-        right = [2, 3.0]
-        merged = merge_runs_python(left, right)
+        left = np.asarray([1, 2.0, 3], dtype=object)
+        right = np.asarray([2, 3.0], dtype=object)
+        merged = merge_runs([left, right]).tolist()
         assert merged == [1, 2.0, 2, 3, 3.0]
         assert type(merged[1]) is float and type(merged[2]) is int
+        assert type(merged[3]) is int and type(merged[4]) is float
 
     def test_empty_sides(self):
-        assert merge_runs_python([], [1, 2]) == [1, 2]
-        assert merge_runs_python([1, 2], []) == [1, 2]
-        assert merge_runs_python([], []) == []
+        empty = np.empty(0, dtype=np.uint64)
+        pair = np.asarray([1, 2], dtype=np.uint64)
+        assert merge_runs([empty, pair]).tolist() == [1, 2]
+        assert merge_runs([pair, empty]).tolist() == [1, 2]
+        assert merge_runs([empty, empty]).tolist() == []
+        assert merge_runs([]).dtype == np.uint64
 
 
 class TestArrayKernel:
+    """Model mode's merge against the simulator's merge of the same runs."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical_on_ragged_runs(self, seed):
         rng = np.random.default_rng(seed)
         left = np.sort(rng.integers(0, 50, size=int(rng.integers(0, 700))))
         right = np.sort(rng.integers(0, 50, size=int(rng.integers(0, 700))))
-        with forced_backend("numpy"):
-            vectorized = merge_two_sorted(left, right)
-        with forced_backend("python"):
-            scalar = merge_two_sorted(left, right)
-        assert vectorized.dtype == scalar.dtype
-        assert np.array_equal(vectorized, scalar)
+        vectorized = merge_runs([left, right])
+        assert vectorized.dtype == np.result_type(left, right)
+        assert vectorized.tolist() == _simulated(left, right)
 
     def test_stability_keeps_left_first(self):
-        # uint64 vs int64 operands produce a comparable merged dtype and
-        # searchsorted's side conventions must match the two-pointer rule.
         left = np.asarray([5, 5, 7], dtype=np.uint64)
         right = np.asarray([5, 6, 7], dtype=np.uint64)
-        with forced_backend("numpy"):
-            vectorized = merge_two_sorted(left, right)
-        with forced_backend("python"):
-            scalar = merge_two_sorted(left, right)
-        assert np.array_equal(vectorized, scalar)
+        vectorized = merge_runs([left, right])
+        assert vectorized.dtype == np.uint64
+        assert vectorized.tolist() == [5, 5, 5, 6, 7, 7] == _simulated(left, right)
 
 
 class TestSimulatorBackendIdentity:
-    """Whole-simulation differential: outputs *and* cycle accounting."""
+    """Whole-stage differential: the simulator's two engines and model mode."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("p,leaves", ((2, 4), (4, 4), (8, 16)))
@@ -190,21 +146,13 @@ class TestSimulatorBackendIdentity:
             sorted(rng.randrange(0, 64) for _ in range(rng.randrange(1, 120)))
             for _ in range(leaves)
         ]
-        with forced_backend("python"):
-            scalar_out, scalar_stats = simulate_merge(
-                p, leaves, runs, check_sorted_inputs=False
-            )
-        with forced_backend("numpy"):
-            vector_out, vector_stats = simulate_merge(
-                p, leaves, runs, check_sorted_inputs=False
-            )
-        assert scalar_out == vector_out
-        assert scalar_stats == vector_stats
-
-    def test_both_engines_agree_under_forced_numpy(self):
-        rng = random.Random(7)
-        runs = [sorted(rng.randrange(0, 1 << 20) for _ in range(200)) for _ in range(4)]
-        with forced_backend("numpy"):
-            fast = simulate_merge(4, 4, runs, check_sorted_inputs=False, engine="fast")
-            naive = simulate_merge(4, 4, runs, check_sorted_inputs=False, engine="naive")
-        assert fast == naive
+        fast_out, fast_stats = simulate_merge(
+            p, leaves, runs, check_sorted_inputs=False, engine="fast"
+        )
+        naive_out, naive_stats = simulate_merge(
+            p, leaves, runs, check_sorted_inputs=False, engine="naive"
+        )
+        assert fast_out == naive_out
+        assert fast_stats == naive_stats
+        model = merge_runs([np.asarray(run, dtype=np.uint64) for run in runs])
+        assert fast_out == [model.tolist()]

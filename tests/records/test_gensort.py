@@ -110,15 +110,3 @@ class TestVectorizedCodec:
             gensort.GensortRecord(key=b"\xff" * 10, value=b"a" * 90),
         ]
         self._assert_identical(records)
-
-    def test_dispatch_follows_backend(self):
-        from repro.network.flims import forced_backend
-
-        records = gensort.generate_gensort(600, seed=7)
-        with forced_backend("python"):
-            scalar = gensort.pack_records(records)
-        with forced_backend("numpy"):
-            vectorized = gensort.pack_records(records)
-        assert np.array_equal(scalar[0], vectorized[0])
-        assert np.array_equal(scalar[1], vectorized[1])
-        assert scalar[2] == vectorized[2]
