@@ -531,6 +531,13 @@ def run_scenario(scenario: Scenario, quick: bool = False) -> BenchResult:
     raise ConfigurationError(f"unknown scenario kind {scenario.kind!r}")
 
 
+#: Scenario kinds that time worker pools of their own.  A pool worker
+#: may not fork a nested pool (:meth:`ParallelPlan.wants_processes`), so
+#: under ``bench --jobs N`` these run in the parent, where their pooled
+#: legs still measure real processes.
+POOLED_KINDS = frozenset({"parallel_sort", "parallel_optimizer", "cluster"})
+
+
 def run_suite(
     names: Iterable[str] | None = None,
     quick: bool = False,
@@ -541,7 +548,8 @@ def run_suite(
 
     ``jobs`` shards whole scenarios across a worker pool — each
     scenario's naive/fast engine pair stays pinned to one worker so its
-    speedup ratio is timed on a single core either way.  ``seed``
+    speedup ratio is timed on a single core either way.  Scenarios of a
+    :data:`POOLED_KINDS` kind run in the parent after the pool.  ``seed``
     overrides every scenario's workload seed uniformly, which is how
     serial and parallel suite runs are made comparable record for
     record.  Results come back in scenario order regardless of ``jobs``.
@@ -557,14 +565,20 @@ def run_suite(
     else:
         selected = list(SCENARIOS)
     plan = ParallelPlan.from_jobs(jobs)
-    if plan is not None and plan.wants_processes(len(selected)):
+    sharded = [s for s in selected if s.kind not in POOLED_KINDS]
+    pooled: dict[str, BenchResult] = {}
+    if plan is not None and plan.wants_processes(len(sharded)):
         from repro.parallel.workers import worker_bench_scenario
 
-        tasks = [(scenario.name, quick, seed) for scenario in selected]
-        return plan.map(worker_bench_scenario, tasks)
+        tasks = [(scenario.name, quick, seed) for scenario in sharded]
+        results = plan.map(worker_bench_scenario, tasks)
+        pooled = {s.name: result for s, result in zip(sharded, results)}
     obs = observation()
     results = []
     for scenario in selected:
+        if scenario.name in pooled:
+            results.append(pooled[scenario.name])
+            continue
         if seed is not None:
             scenario = dataclasses.replace(scenario, seed=seed)
         with obs.span(

@@ -23,10 +23,12 @@ from repro.core.parameters import HardwareParams, MergerArchParams
 from repro.engine.results import SortOutcome
 from repro.engine.stage import merge_stage, split_into_runs
 from repro.errors import ConfigurationError
+from repro.hw.terminal import SENTINEL_KEY
 from repro.hw.tree import simulate_merge
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
 from repro.parallel.plan import ParallelPlan
+from repro.parallel.shm import unsigned_keys
 
 
 @dataclass
@@ -47,10 +49,15 @@ class AmtSorter:
         ``"model"`` or ``"simulate"``.
     parallel:
         Optional :class:`~repro.parallel.plan.ParallelPlan` sharding
-        each stage's independent merge groups across a worker pool.
-        Model-mode results are bit-identical with or without a plan;
-        simulate mode switches to the per-group cycle decomposition
-        (identical for every plan, see ``docs/performance.md``).
+        each model-mode stage's independent merge groups across a
+        worker pool; results are bit-identical with or without a plan.
+        Simulate mode ignores it: a stage's groups stream through one
+        tree back to back, so each stage is one joint simulation and no
+        plan changes a simulated cycle.
+
+    Simulate mode takes uint64 keys below the simulator's pad sentinel
+    2**64 - 1 (DESIGN.md §6); other keys raise
+    :class:`~repro.errors.ConfigurationError` up front.
     """
 
     config: AmtConfig
@@ -85,7 +92,10 @@ class AmtSorter:
         ``input_presorted=True`` treats the input as already split into
         sorted runs of ``presort_run`` records (skips the presorter).
         """
-        data = np.asarray(data)
+        data = (
+            unsigned_keys(data, limit=SENTINEL_KEY)
+            if self.mode == "simulate" else np.asarray(data)
+        )
         if data.size == 0:
             return SortOutcome(
                 data=data.copy(), seconds=0.0, stages=0,
@@ -148,32 +158,14 @@ class AmtSorter:
     def _run_stage_simulated(
         self, runs: list[np.ndarray]
     ) -> tuple[list[np.ndarray], float]:
-        """One stage through the cycle simulator."""
+        """One stage through the cycle simulator, all groups on one tree."""
         frequency = self.arch.frequency_hz
         budget = self.hardware.beta_dram / frequency
         dtype = runs[0].dtype if runs else np.uint64
-        if self.parallel is not None:
-            from repro.parallel.api import simulate_stage_sharded
-
-            out_runs, cycles = simulate_stage_sharded(
-                runs,
-                p=self.config.p,
-                leaves=self.config.leaves,
-                record_bytes=self.arch.record_bytes,
-                read_bytes_per_cycle=budget,
-                write_bytes_per_cycle=budget,
-                batch_bytes=min(self.hardware.batch_bytes, 1024),
-                plan=self.parallel,
-            )
-            return (
-                [np.asarray(run, dtype=dtype) for run in out_runs],
-                cycles / frequency,
-            )
-        int_runs = [[int(x) for x in run] for run in runs]
         out_runs, stats = simulate_merge(
             p=self.config.p,
             leaves=self.config.leaves,
-            runs=int_runs,
+            runs=[run.tolist() for run in runs],
             record_bytes=self.arch.record_bytes,
             read_bytes_per_cycle=budget,
             write_bytes_per_cycle=budget,

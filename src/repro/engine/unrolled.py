@@ -26,9 +26,11 @@ from repro.engine.results import SortOutcome
 from repro.engine.sorter import AmtSorter
 from repro.engine.stage import merge_runs
 from repro.errors import ConfigurationError
+from repro.hw.terminal import SENTINEL_KEY
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
 from repro.parallel.plan import ParallelPlan
+from repro.parallel.shm import unsigned_keys
 
 
 @dataclass
@@ -82,11 +84,13 @@ class UnrolledSorter:
 
         Runs λ concurrent sorter units on per-bank budgets plus the
         idling final merges; intended for laptop-scale arrays.  Timing
-        comes from the simulated clock at ``arch.frequency_hz``.
+        comes from the simulated clock at ``arch.frequency_hz``.  Keys
+        must be uint64 integers below the pad sentinel 2**64 - 1
+        (DESIGN.md §6).
         """
         from repro.hw.banks import UnrolledSimulation
 
-        data = np.asarray(data)
+        data = unsigned_keys(data, limit=SENTINEL_KEY)
         if data.size == 0:
             return SortOutcome(
                 data=data.copy(), seconds=0.0, stages=0,
@@ -107,7 +111,7 @@ class UnrolledSorter:
             "unrolled.simulate", records=int(data.size),
             lambda_unroll=self.config.lambda_unroll,
         ) as span:
-            cycles = simulation.run([int(x) for x in data])
+            cycles = simulation.run(data.tolist())
             span.set(cycles=cycles)
         return SortOutcome(
             data=np.asarray(simulation.output, dtype=data.dtype),
@@ -138,7 +142,7 @@ class UnrolledSorter:
         ) as span:
             output, stages_done, parallel_cycles, final_cycles = (
                 simulate_unrolled_sharded(
-                    [int(x) for x in data],
+                    data,
                     p=self.config.p,
                     leaves=self.config.leaves,
                     lambda_unroll=self.config.lambda_unroll,

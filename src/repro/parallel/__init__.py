@@ -1,8 +1,8 @@
 """Process-pool execution layer for independent merges, trees and sweeps.
 
 The paper's performance story is built on *independent* units of work —
-λ_unrl trees over disjoint partitions, per-group merges within a stage,
-per-configuration optimizer evaluations — and this package runs them
+λ_unrl trees over disjoint partitions, model-mode merge groups within a
+stage, per-configuration optimizer evaluations — and this package runs them
 side by side on host cores without changing a single result:
 
 * :class:`ParallelPlan` is the one policy object (worker count, backend,

@@ -8,12 +8,16 @@ a helper's output is bit-identical across ``jobs=1``, ``jobs=N`` and
 ``backend="serial"`` — the differential suite in ``tests/parallel``
 pins this.
 
-Record data — model-mode arrays *and* simulate-mode runs — travels
-through :mod:`repro.parallel.shm`: the parent packs batches into one
-shared block, workers attach zero-copy views, and only tiny descriptors
-and cycle counts ride the pickles.  Simulate-mode keys that cannot pack
-into a uint64 block (negative, or beyond 64 bits) degrade to the
-original pickled-int-list transport with identical results.
+Only loops whose split is exact are sharded: model-mode merge groups,
+model-mode unrolled partitions and simulate-mode unrolled units.  A
+simulate-mode stage is not: its groups stream through one tree back to
+back, so it always runs as one joint simulation in the caller.
+
+Record data travels through :mod:`repro.parallel.shm` in one transport:
+the parent packs batches into one shared block, workers attach
+zero-copy views, and only tiny descriptors and cycle counts ride the
+pickles.  Simulate-mode keys are checked once at the records boundary
+(:func:`~repro.parallel.shm.unsigned_keys`), so every key packs.
 """
 
 from __future__ import annotations
@@ -22,27 +26,12 @@ import numpy as np
 
 from repro.engine.stage import merge_stage
 from repro.parallel.plan import ParallelPlan
-from repro.parallel.shm import (
-    alloc_arrays,
-    as_uint64_runs,
-    pack_arrays,
-    release,
-    view_array,
-)
+from repro.parallel.shm import alloc_arrays, pack_arrays, release, view_array
 from repro.parallel.workers import (
     worker_merge_group,
-    worker_simulate_group,
-    worker_simulate_group_shm,
     worker_simulate_unit,
-    worker_simulate_unit_shm,
     worker_sort_partition,
 )
-
-
-# Kept as a module attribute (not a bare-name import) so the
-# differential suite's monkeypatch of ``api._as_uint64_runs`` still
-# reroutes every call site below onto the pickled fallback.
-_as_uint64_runs = as_uint64_runs
 
 
 def merge_stage_sharded(
@@ -88,103 +77,6 @@ def merge_stage_sharded(
     finally:
         release(in_block)
         release(out_block)
-
-
-def simulate_stage_sharded(
-    runs: list[np.ndarray],
-    p: int,
-    leaves: int,
-    record_bytes: int,
-    read_bytes_per_cycle: float,
-    write_bytes_per_cycle: float,
-    batch_bytes: int,
-    plan: ParallelPlan,
-) -> tuple[list[list[int]], int]:
-    """Cycle-simulate one stage with each merge group on its own tree.
-
-    A stage's groups share one physical tree in the joint simulation
-    (they stream through it back to back), so the faithful reduction
-    here is the **sum** of per-group cycle counts: the same work with
-    the cross-group pipeline overlap — a few fill/drain cycles per
-    group — accounted to neither group.  The decomposition is the same
-    for every ``jobs`` setting, so cycle counts stay bit-identical
-    across serial and parallel plans.
-
-    Record transport is zero-copy: runs pack into one shared uint64
-    block, workers attach views of their group's slots, and merged
-    groups land in a pre-allocated output block (a merge preserves its
-    record count, so every output slot's size is known up front).  Only
-    keys that cannot live in a uint64 block ride the pickled fallback.
-    """
-    arrays = None if not runs else _as_uint64_runs(runs)
-    if arrays is None:
-        return _simulate_stage_pickled(
-            runs, p, leaves, record_bytes,
-            read_bytes_per_cycle, write_bytes_per_cycle, batch_bytes, plan,
-        )
-    bounds = [
-        (start, min(start + leaves, len(arrays)))
-        for start in range(0, len(arrays), leaves)
-    ]
-    in_block, in_desc = pack_arrays(arrays)
-    out_lengths = [
-        sum(int(arrays[i].size) for i in range(start, stop))
-        for start, stop in bounds
-    ]
-    out_block, out_desc = alloc_arrays(out_lengths, np.uint64)
-    try:
-        tasks = [
-            (
-                in_desc, out_desc, group, start, stop,
-                p, leaves, record_bytes,
-                read_bytes_per_cycle, write_bytes_per_cycle, batch_bytes,
-            )
-            for group, (start, stop) in enumerate(bounds)
-        ]
-        results = plan.map(worker_simulate_group_shm, tasks)
-        out_runs = []
-        cycles = 0
-        for group, (run_lengths, group_cycles) in enumerate(results):
-            cycles += group_cycles
-            slot = view_array(out_desc, group, out_block)
-            position = 0
-            for length in run_lengths:
-                out_runs.append(slot[position : position + length].tolist())
-                position += length
-        return out_runs, cycles
-    finally:
-        release(in_block)
-        release(out_block)
-
-
-def _simulate_stage_pickled(
-    runs: list[np.ndarray],
-    p: int,
-    leaves: int,
-    record_bytes: int,
-    read_bytes_per_cycle: float,
-    write_bytes_per_cycle: float,
-    batch_bytes: int,
-    plan: ParallelPlan,
-) -> tuple[list[list[int]], int]:
-    """Fallback transport: runs as int lists inside the task pickles."""
-    int_runs = [[int(x) for x in run] for run in runs]
-    tasks = [
-        (
-            p,
-            leaves,
-            int_runs[start : start + leaves],
-            record_bytes,
-            read_bytes_per_cycle,
-            write_bytes_per_cycle,
-            batch_bytes,
-        )
-        for start in range(0, len(int_runs), leaves)
-    ]
-    results = plan.map(worker_simulate_group, tasks)
-    out_runs = [run for group_runs, _cycles in results for run in group_runs]
-    cycles = sum(group_cycles for _runs, group_cycles in results)
-    return out_runs, cycles
 
 
 def sort_partitions_sharded(
@@ -240,7 +132,7 @@ def sort_partitions_sharded(
 
 
 def simulate_unrolled_sharded(
-    array: list[int],
+    keys: np.ndarray,
     p: int,
     leaves: int,
     lambda_unroll: int,
@@ -261,11 +153,11 @@ def simulate_unrolled_sharded(
     counts reduce to ``parallel_cycles`` with the existing ``max()``
     semantics, bit-identical to the joint simulation.
 
-    Record transport is zero-copy: the array packs into one shared
-    uint64 block as λ chunk slots, each worker attaches a view of its
-    chunk and writes the sorted range back into the same-sized output
-    slot; only cycle/stage counts ride the result pickles.  Keys that
-    cannot live in a uint64 block ride the pickled fallback.
+    ``keys`` is an integer array that passed
+    :func:`~repro.parallel.shm.unsigned_keys`.  It packs into one shared
+    block as λ chunk slots; each worker attaches a view of its chunk and
+    writes the sorted range back into the same-sized output slot, so
+    only cycle/stage counts ride the result pickles.
 
     Returns ``(output, max_stages_done, parallel_cycles,
     final_merge_cycles)``.
@@ -273,53 +165,29 @@ def simulate_unrolled_sharded(
     from repro.hw.tree import simulate_merge
 
     share = total_bytes_per_cycle / lambda_unroll
-    chunk = -(-len(array) // lambda_unroll)
-    chunks = [
-        list(array[index * chunk : (index + 1) * chunk])
-        for index in range(lambda_unroll)
-    ]
-    arrays = _as_uint64_runs(chunks)
-    if arrays is not None:
-        in_block, in_desc = pack_arrays(arrays)
-        out_block, out_desc = alloc_arrays(
-            [int(a.size) for a in arrays], np.uint64
-        )
-        try:
-            tasks = [
-                (
-                    in_desc, out_desc, index, p, leaves, record_bytes,
-                    share, batch_bytes, presort_run, max_cycles,
-                )
-                for index in range(lambda_unroll)
-            ]
-            results = plan.map(worker_simulate_unit_shm, tasks)
-            parallel_cycles = max(cycles for _busy, _stages, cycles in results)
-            stages_done = max(stages for _busy, stages, _cycles in results)
-            ranges = [
-                view_array(out_desc, index, out_block).tolist()
-                for index in range(lambda_unroll)
-            ]
-        finally:
-            release(in_block)
-            release(out_block)
-    else:
+    chunk = -(-len(keys) // lambda_unroll)
+    in_block, in_desc = pack_arrays(
+        [keys[index * chunk : (index + 1) * chunk] for index in range(lambda_unroll)]
+    )
+    out_block, out_desc = alloc_arrays(list(in_desc.lengths), keys.dtype)
+    try:
         tasks = [
             (
-                p,
-                leaves,
-                record_bytes,
-                share,
-                batch_bytes,
-                presort_run,
-                chunks[index],
-                max_cycles,
+                in_desc, out_desc, index, p, leaves, record_bytes,
+                share, batch_bytes, presort_run, max_cycles,
             )
             for index in range(lambda_unroll)
         ]
         results = plan.map(worker_simulate_unit, tasks)
-        parallel_cycles = max(cycles for _out, _busy, _stages, cycles in results)
-        stages_done = max(stages for _out, _busy, stages, _cycles in results)
-        ranges = [output for output, _busy, _stages, _cycles in results]
+        parallel_cycles = max(cycles for _busy, _stages, cycles in results)
+        stages_done = max(stages for _busy, stages, _cycles in results)
+        ranges = [
+            view_array(out_desc, index, out_block).tolist()
+            for index in range(lambda_unroll)
+        ]
+    finally:
+        release(in_block)
+        release(out_block)
     merged, stats = simulate_merge(
         p=p,
         leaves=leaves,

@@ -19,7 +19,8 @@ hold:
 * the platform cannot ``fork`` (process workers would re-import the
   world per task under ``spawn``, which costs more than it saves for
   our task sizes);
-* the current process is itself a pool worker (no nested pools).
+* the current process is itself a pool worker (no nested pools: any
+  process that ``multiprocessing`` started has a ``parent_process()``).
 
 Worker failure is not fatal: a crashed or timed-out chunk is recomputed
 serially in the parent, so a flaky pool can slow a run down but can
@@ -162,7 +163,10 @@ class ParallelPlan:
             and n_tasks > 1
             and self.resolve_jobs() > 1
             and "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
+            # Pool workers are not daemonic on every Python (3.11's
+            # ProcessPoolExecutor workers are not), so ask whether this
+            # process was started by multiprocessing at all.
+            and multiprocessing.parent_process() is None
         )
 
     def chunks(self, n_tasks: int) -> list[range]:

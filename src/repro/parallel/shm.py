@@ -23,6 +23,8 @@ The parent owns both blocks' lifetimes (``close`` + ``unlink`` in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -38,15 +40,11 @@ class ShmArrays:
     dtype: str
     lengths: tuple[int, ...]
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """Element offset of each array inside the block."""
-        out = []
-        position = 0
-        for length in self.lengths:
-            out.append(position)
-            position += length
-        return tuple(out)
+        """Element offset of each array inside the block (computed once:
+        a stage views every slot, so a per-call rebuild is quadratic)."""
+        return tuple(accumulate(self.lengths, initial=0))[:-1]
 
     @property
     def total(self) -> int:
@@ -129,40 +127,45 @@ def write_array(descriptor: ShmArrays, index: int, values: np.ndarray) -> None:
         block.close()
 
 
-def as_uint64_runs(runs: list) -> list[np.ndarray] | None:
-    """Coerce int runs to uint64 arrays for shm transport, or ``None``.
+#: The record space of simulate mode and the cluster sort (DESIGN.md §6).
+KEY_RULE = "records are uint64 keys: integers in [0, 2**64)"
 
-    The simulator's record space is non-negative 64-bit keys; anything
-    outside that (signalled by numpy's conversion errors) keeps the
-    caller on the pickled-int-list fallback, whose arbitrary-precision
-    ints have no such limit.  This is the one packability gate shared by
-    the simulate-mode transport and the cluster exchange shuttles.
+
+def unsigned_keys(data, limit: int = 2**64) -> np.ndarray:
+    """``data`` as an integer key array, or :class:`ConfigurationError`.
+
+    The one records-boundary check of simulate mode and the cluster
+    sort.  Both move keys as exact integers (the cycle simulator's
+    Python ints, uint64 shared-memory blocks), so floats, negatives and
+    keys of 2**64 or more are rejected here rather than truncated,
+    wrapped or widened later.  ``limit`` lowers the exclusive ceiling
+    for a caller that reserves the top keys: the cycle simulator passes
+    its pad sentinel, 2**64 - 1, which its output filter strips.
+    Integer arrays come back unchanged, so outputs keep the input's
+    dtype; any other accepted input (lists, object arrays) comes back as
+    uint64.
     """
-    arrays = []
-    for run in runs:
-        if isinstance(run, np.ndarray):
-            # Casting straight to uint64 silently wraps negatives and
-            # truncates floats instead of raising, so gate on the
-            # array's own dtype kind and range first.
-            if run.dtype.kind == "u":
-                arrays.append(run.astype(np.uint64))
-                continue
-            if run.dtype.kind == "i" and not (run.size and int(run.min()) < 0):
-                arrays.append(run.astype(np.uint64))
-                continue
-            return None
-        # Lists: require genuine ints before casting (floats would
-        # truncate, and large values make numpy infer float64, so the
-        # element scan is the only airtight check; it costs the same
-        # O(n) as the pickled path's per-element int() conversions).
-        if not all(type(x) is int or isinstance(x, np.integer) for x in run):
-            return None
-        try:
-            # The explicit cast raises on anything outside [0, 2**64).
-            arrays.append(np.asarray(run, dtype=np.uint64))
-        except (OverflowError, ValueError, TypeError):
-            return None
-    return arrays
+    if isinstance(data, np.ndarray) and data.dtype.kind in "ui":
+        keys = data
+        bounds = (int(data.min()), int(data.max())) if data.size else ()
+    else:
+        values = data.tolist() if isinstance(data, np.ndarray) else list(data)
+        # Element types first: casting a float or a numpy signed scalar
+        # to uint64 truncates or wraps instead of raising.
+        for value in values:
+            if type(value) is not int and not isinstance(value, np.integer):
+                raise ConfigurationError(f"{KEY_RULE}; got {value!r}")
+        bounds = (min(values), max(values)) if values else ()
+        keys = None
+    for bound in bounds:
+        if not 0 <= bound < 2**64:
+            raise ConfigurationError(f"{KEY_RULE}; got {bound}")
+    if bounds and bounds[1] >= limit:
+        raise ConfigurationError(
+            f"{KEY_RULE}, and keys from {limit} up are reserved here; "
+            f"got {bounds[1]}"
+        )
+    return np.asarray(values, dtype=np.uint64) if keys is None else keys
 
 
 def release(block: shared_memory.SharedMemory) -> None:

@@ -24,8 +24,9 @@ def worker_serve_job(task: tuple) -> tuple:
     protocol-level job description and ``jobs`` is the nested
     parallelism budget for the job itself (always ``None`` today: a
     pool child must not fork grandchildren, and
-    :meth:`ParallelPlan.wants_processes` would refuse anyway — passing
-    it explicitly keeps the contract visible).  Returns
+    :meth:`ParallelPlan.wants_processes` refuses in any process that
+    has a ``multiprocessing.parent_process()`` — passing it explicitly
+    keeps the contract visible).  Returns
     ``("ok", payload)`` or ``("error", message)``.
     """
     from repro.serve.session import SortSession, execute_payload

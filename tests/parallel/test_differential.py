@@ -1,9 +1,9 @@
 """Differential suite: parallel == serial, bit for bit.
 
-The acceptance contract of the execution layer — for every parallelized
-surface (model-mode merge stages, simulate-mode stages, unrolled trees
-in both modes, optimizer rankings), every ``jobs`` setting must
-reproduce the serial results exactly: sorted bytes, modeled seconds,
+The acceptance contract of the execution layer — for every surface that
+takes a plan (model-mode merge stages, simulate-mode sorts, unrolled
+trees in both modes, optimizer rankings), every ``jobs`` setting must
+reproduce the plan-free results exactly: sorted bytes, modeled seconds,
 cycle counts, traffic and ranking order.  Each surface is exercised
 across at least three jobs settings and eight workload seeds.
 """
@@ -20,6 +20,7 @@ from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.engine.sorter import AmtSorter
 from repro.engine.stage import merge_stage, split_into_runs
 from repro.engine.unrolled import UnrolledSorter
+from repro.errors import ConfigurationError
 from repro.parallel import ParallelPlan
 from repro.parallel.api import merge_stage_sharded
 from repro.units import GB
@@ -94,27 +95,57 @@ class TestAmtSorterModel:
 class TestAmtSorterSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_simulate_sort_matches_across_jobs(self, hardware, seed):
-        """Plan-attached simulate mode: identical at every jobs setting.
+        """Simulate mode: every plan reproduces ``parallel=None`` exactly.
 
-        The per-group cycle decomposition is the same for all plans, so
-        outputs *and* cycle-derived seconds must agree bit for bit.
+        A stage's groups stream through one tree back to back, so each
+        stage is one joint simulation whatever the plan; outputs *and*
+        cycle-derived seconds must agree bit for bit with the plan-free
+        sorter.
         """
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 1 << 30, size=900)
-        reference = None
+        config = AmtConfig(p=8, leaves=8)
+        reference = AmtSorter(
+            config=config, hardware=hardware, mode="simulate"
+        ).sort(data)
+        assert np.array_equal(reference.data, np.sort(data))
         for plan in JOBS_SETTINGS:
             outcome = AmtSorter(
-                config=AmtConfig(p=8, leaves=8),
+                config=config,
                 hardware=hardware,
                 mode="simulate",
                 parallel=plan,
             ).sort(data)
-            assert outcome.is_sorted()
-            assert np.array_equal(outcome.data, np.sort(data))
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcomes_identical(reference, outcome)
+            assert outcomes_identical(reference, outcome)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stage_is_one_joint_simulation(self, hardware, seed):
+        """A multi-group stage costs the same cycles under every plan."""
+        rng = np.random.default_rng(seed)
+        runs = [
+            np.sort(rng.integers(0, 1000, size=int(rng.integers(10, 60))))
+            for _ in range(8)
+        ]
+
+        def stage(plan):
+            return AmtSorter(
+                config=AmtConfig(p=4, leaves=4),
+                hardware=hardware,
+                mode="simulate",
+                parallel=plan,
+            )._run_stage_simulated(list(runs))
+
+        reference_runs, reference_seconds = stage(None)
+        assert [run.tolist() for run in reference_runs] == [
+            np.sort(np.concatenate(runs[start : start + 4])).tolist()
+            for start in (0, 4)
+        ]
+        for plan in JOBS_SETTINGS:
+            out_runs, seconds = stage(plan)
+            assert seconds == reference_seconds
+            assert [run.tolist() for run in out_runs] == [
+                run.tolist() for run in reference_runs
+            ]
 
 
 class TestUnrolledModel:
@@ -218,73 +249,103 @@ class TestOptimizerRanking:
 
 
 class TestSimulateShmTransport:
-    """The zero-copy simulate-mode transport vs its pickled fallback."""
+    """The zero-copy unrolled-unit transport vs the plan-free joint simulation."""
 
-    @staticmethod
-    def _runs(seed: int) -> list[list[int]]:
-        import random
+    KWARGS = dict(
+        p=4, leaves=4, lambda_unroll=4, record_bytes=4,
+        presort_run=16, total_bytes_per_cycle=64.0, batch_bytes=64,
+    )
 
-        rng = random.Random(seed)
-        return [
-            sorted(rng.randrange(0, 1000) for _ in range(rng.randrange(10, 60)))
-            for _ in range(8)
-        ]
+    def _joint(self, keys: np.ndarray) -> tuple:
+        from repro.hw.banks import UnrolledSimulation
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_shm_matches_pickled_stage(self, seed):
-        from repro.parallel.api import (
-            _simulate_stage_pickled,
-            simulate_stage_sharded,
+        simulation = UnrolledSimulation(**self.KWARGS)
+        simulation.run(keys.tolist())
+        return (
+            simulation.output,
+            max(unit.stages_done for unit in simulation.units),
+            simulation.parallel_cycles,
+            simulation.final_merge_cycles,
         )
-
-        runs = self._runs(seed)
-        kwargs = dict(
-            p=4, leaves=4, record_bytes=4,
-            read_bytes_per_cycle=16.0, write_bytes_per_cycle=16.0,
-            batch_bytes=64,
-        )
-        for plan in (ParallelPlan.serial(), ParallelPlan(jobs=2)):
-            shm = simulate_stage_sharded(runs, plan=plan, **kwargs)
-            pickled = _simulate_stage_pickled(runs, plan=plan, **kwargs)
-            assert shm == pickled
-
-    def test_unpackable_keys_use_fallback(self):
-        from repro.parallel.api import _as_uint64_runs, simulate_stage_sharded
-
-        # 2**64 exceeds uint64; negative values may not wrap silently.
-        assert _as_uint64_runs([[1, 2**64]]) is None
-        assert _as_uint64_runs([np.asarray([-1, 2], dtype=np.int64)]) is None
-        assert _as_uint64_runs([[1, 2.5]]) is None
-        huge = [[1, 5, 2**64 + 3], [2, 4, 6]]
-        out_runs, cycles = simulate_stage_sharded(
-            huge, p=2, leaves=2, record_bytes=4,
-            read_bytes_per_cycle=8.0, write_bytes_per_cycle=8.0,
-            batch_bytes=32, plan=ParallelPlan.serial(),
-        )
-        assert out_runs == [sorted(huge[0] + huge[1])]
-        assert cycles > 0
-
-    def test_uint64_range_packs(self):
-        from repro.parallel.api import _as_uint64_runs
-
-        packed = _as_uint64_runs([[0, 2**64 - 1], np.asarray([7], dtype=np.uint32)])
-        assert packed is not None
-        assert all(a.dtype == np.uint64 for a in packed)
-        assert packed[0].tolist() == [0, 2**64 - 1]
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
-    def test_unrolled_shm_matches_fallback(self, seed, monkeypatch):
-        import repro.parallel.api as api
+    def test_unrolled_shm_matches_fallback(self, seed):
+        """The shm transport reproduces the plan-free joint simulation,
+        which is what ``UnrolledSorter.simulate`` falls back to without a
+        plan."""
+        from repro.parallel.api import simulate_unrolled_sharded
 
         rng = np.random.default_rng(seed)
-        array = [int(x) for x in rng.integers(0, 1 << 30, size=600)]
-        kwargs = dict(
-            p=4, leaves=4, lambda_unroll=4, record_bytes=4,
-            presort_run=16, total_bytes_per_cycle=64.0, batch_bytes=64,
-            plan=ParallelPlan(jobs=2),
+        keys = rng.integers(0, 1 << 30, size=600)
+        sharded = simulate_unrolled_sharded(
+            keys, plan=ParallelPlan(jobs=2), **self.KWARGS
         )
-        shm = api.simulate_unrolled_sharded(array, **kwargs)
-        monkeypatch.setattr(api, "_as_uint64_runs", lambda runs: None)
-        pickled = api.simulate_unrolled_sharded(array, **kwargs)
-        assert shm == pickled
-        assert shm[0] == sorted(array)
+        assert sharded == self._joint(keys)
+        assert sharded[0] == np.sort(keys).tolist()
+
+    def test_uint64_range_packs(self):
+        from repro.parallel.api import simulate_unrolled_sharded
+
+        rng = np.random.default_rng(0)
+        # 2**64 - 1 is the simulator's pad sentinel; every key below it
+        # must survive the uint64 block.
+        keys = rng.integers(0, 2**64 - 1, size=300, dtype=np.uint64)
+        keys[:2] = [0, 2**64 - 2]
+        sharded = simulate_unrolled_sharded(
+            keys, plan=ParallelPlan(jobs=2), **self.KWARGS
+        )
+        assert sharded == self._joint(keys)
+        assert sharded[0] == np.sort(keys).tolist()
+
+
+#: Keys outside the uint64 record space, one per way of leaving it.
+BAD_KEYS = {
+    "float": np.asarray([3.0, 0.4, 2.0]),
+    "negative": np.asarray([3, -1, 2], dtype=np.int64),
+    "2**64": np.asarray([3, 2**64, 2], dtype=object),
+}
+
+
+class TestKeyRejection:
+    """Simulate mode and the cluster refuse non-uint64 keys the same way
+    at every jobs setting, instead of truncating or wrapping them."""
+
+    @staticmethod
+    def simulators(hardware):
+        amt = AmtConfig(p=2, leaves=2)
+        unrolled = AmtConfig(p=2, leaves=2, lambda_unroll=2)
+        for plan in (None, ParallelPlan(jobs=2)):
+            yield AmtSorter(
+                config=amt, hardware=hardware, mode="simulate", parallel=plan
+            ).sort
+            yield UnrolledSorter(
+                config=unrolled, hardware=hardware, parallel=plan
+            ).simulate
+
+    def entry_points(self, hardware):
+        from repro.distributed.executor import ClusterExecutor
+
+        yield from self.simulators(hardware)
+        yield ClusterExecutor(nodes=2).execute
+
+    def test_unpackable_keys_are_rejected(self, hardware):
+        for name, keys in BAD_KEYS.items():
+            messages = set()
+            for entry in self.entry_points(hardware):
+                with pytest.raises(ConfigurationError, match="uint64") as info:
+                    entry(keys)
+                messages.add(str(info.value))
+            assert len(messages) == 1, (name, messages)
+
+    def test_simulator_reserves_the_pad_sentinel(self, hardware):
+        # The simulator pads partial tuples with 2**64 - 1 and strips it
+        # from its output, so a real key of that value would vanish; the
+        # cluster sort has no such key and keeps it.
+        from repro.distributed.executor import ClusterExecutor
+
+        keys = np.asarray([3, 2**64 - 1, 2], dtype=np.uint64)
+        for entry in self.simulators(hardware):
+            with pytest.raises(ConfigurationError, match="reserved"):
+                entry(keys)
+        report = ClusterExecutor(nodes=2).execute(keys)
+        assert report.data.tolist() == [2, 3, 2**64 - 1]

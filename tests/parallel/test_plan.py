@@ -20,6 +20,12 @@ def _flaky_boom(task):
     return task
 
 
+def _wants_nested_pool(_task):
+    import os
+
+    return os.getpid(), ParallelPlan(jobs=4).wants_processes(2)
+
+
 def _slow(task):
     import time
 
@@ -70,6 +76,19 @@ class TestResolution:
         assert not ParallelPlan(jobs=4, backend="serial").wants_processes(100)
         assert ParallelPlan(jobs=4).wants_processes(2)
 
+    def test_pool_worker_refuses_nested_pool(self):
+        # ProcessPoolExecutor workers are not daemonic on every Python,
+        # so the guard must hold inside a real, non-daemonic worker.
+        import multiprocessing
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            worker_pid, wants = pool.submit(_wants_nested_pool, None).result()
+        assert worker_pid != os.getpid()
+        assert wants is False
+
     def test_chunks_cover_everything_in_order(self):
         for n_tasks in (0, 1, 5, 17, 100):
             for plan in (
@@ -110,6 +129,34 @@ class TestMap:
         # keeps the answer correct.
         plan = ParallelPlan(jobs=2)
         assert plan.map(lambda t: t + 1, [1, 2, 3]) == [2, 3, 4]
+
+
+class TestBenchSuiteSharding:
+    def test_pooled_kinds_run_in_the_parent(self, monkeypatch):
+        # A scenario that times its own pool would time serial legs
+        # inside a suite worker, so ``bench --jobs N`` keeps it home.
+        import os
+
+        from repro.bench import runner
+
+        monkeypatch.setattr(
+            runner, "run_scenario",
+            lambda scenario, quick=False: (scenario.name, os.getpid()),
+        )
+        names = [
+            "micro_balanced", "micro_dup_heavy",
+            "parallel_unrolled_sort", "cluster_sort",
+        ]
+        results = runner.run_suite(names, jobs=2)
+        assert [name for name, _pid in results] == [
+            scenario.name for scenario in runner.SCENARIOS
+            if scenario.name in names
+        ]
+        pids = dict(results)
+        assert pids["parallel_unrolled_sort"] == os.getpid()
+        assert pids["cluster_sort"] == os.getpid()
+        assert pids["micro_balanced"] != os.getpid()
+        assert pids["micro_dup_heavy"] != os.getpid()
 
 
 class TestWorkerEntryHygiene:

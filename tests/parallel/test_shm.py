@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel.shm import (
+    KEY_RULE,
+    ShmArrays,
     alloc_arrays,
     pack_arrays,
     read_array,
     release,
+    unsigned_keys,
     view_array,
     write_array,
 )
@@ -31,6 +37,19 @@ def test_pack_and_read_round_trip():
             assert np.array_equal(read_array(desc, index), original)
     finally:
         release(block)
+
+
+def test_offsets_are_computed_once():
+    # A stage views every one of its R slots; rebuilding the offsets
+    # tuple per view made that O(R**2).  The descriptor keeps one tuple,
+    # and it survives the pickle to a worker.
+    desc = ShmArrays(name="unused", dtype="uint64", lengths=tuple(range(2000)))
+    first = desc.offsets
+    assert desc.offsets is first
+    assert first[:4] == (0, 0, 1, 3)
+    assert first[-1] == sum(range(1999))
+    shipped = pickle.loads(pickle.dumps(desc))
+    assert shipped == desc and shipped.offsets == first
 
 
 def test_pack_rejects_empty_list():
@@ -66,37 +85,39 @@ def test_release_tolerates_double_release():
 
 
 class TestUint64Packability:
-    """The one shared guard deciding shm transport vs pickled fallback."""
+    """The one records-boundary check of simulate mode and the cluster."""
 
     def test_unsigned_and_safe_signed_pack(self):
-        from repro.parallel.shm import as_uint64_runs
+        unsigned = np.asarray([0, 2**64 - 1], dtype=np.uint64)
+        signed = np.asarray([0, 5], dtype=np.int64)
+        # Integer arrays pass through untouched, keeping their dtype.
+        assert unsigned_keys(unsigned) is unsigned
+        assert unsigned_keys(signed) is signed
+        assert unsigned_keys(np.asarray([7, 8], dtype=np.uint32)).dtype == np.uint32
+        packed = unsigned_keys([1, 2, np.uint8(3), 2**64 - 1])
+        assert packed.dtype == np.uint64
+        assert packed.tolist() == [1, 2, 3, 2**64 - 1]
 
-        packed = as_uint64_runs([
-            np.asarray([0, 2**64 - 1], dtype=np.uint64),
-            np.asarray([7, 8], dtype=np.uint32),
-            np.asarray([0, 5], dtype=np.int64),
-            [1, 2, np.uint8(3)],
-        ])
-        assert packed is not None
-        assert all(run.dtype == np.uint64 for run in packed)
-        assert [list(run) for run in packed] == [
-            [0, 2**64 - 1], [7, 8], [0, 5], [1, 2, 3],
-        ]
+    def test_unpackable_inputs_are_rejected(self):
+        for keys in (
+            np.asarray([-1, 2], dtype=np.int64),
+            [-1, 2],
+            [1, 2**64],
+            [1, 2.5],
+            np.asarray([1.5]),
+            np.asarray([0.4, 3.0]),
+            [1, "2"],
+            [True, False],
+        ):
+            with pytest.raises(ConfigurationError, match=re.escape(KEY_RULE)):
+                unsigned_keys(keys)
 
-    def test_unpackable_inputs_fall_back(self):
-        from repro.parallel.shm import as_uint64_runs
-
-        assert as_uint64_runs([np.asarray([-1, 2], dtype=np.int64)]) is None
-        assert as_uint64_runs([[-1, 2]]) is None
-        assert as_uint64_runs([[1, 2**64]]) is None
-        assert as_uint64_runs([[1, 2.5]]) is None
-        assert as_uint64_runs([np.asarray([1.5])]) is None
-        assert as_uint64_runs([[1, "2"]]) is None
-
-    def test_api_alias_is_the_shared_guard(self):
-        # The simulate-mode transport and the cluster exchange must
-        # consult the same guard; the api alias also keeps the
-        # differential suite's monkeypatch seam working.
-        from repro.parallel import api, shm
-
-        assert api._as_uint64_runs is shm.as_uint64_runs
+    def test_limit_reserves_the_top_keys(self):
+        keys = np.asarray([1, 2**64 - 2], dtype=np.uint64)
+        assert unsigned_keys(keys, limit=2**64 - 1) is keys
+        for top in (np.asarray([1, 2**64 - 1], dtype=np.uint64), [1, 2**64 - 1]):
+            with pytest.raises(ConfigurationError, match="reserved"):
+                unsigned_keys(top, limit=2**64 - 1)
+        # Out-of-range keys keep the common message under any limit.
+        with pytest.raises(ConfigurationError, match=re.escape(KEY_RULE + ";")):
+            unsigned_keys([1, 2**64], limit=2**64 - 1)
