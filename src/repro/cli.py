@@ -26,7 +26,7 @@ from repro.core.configuration import AmtConfig
 from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.core.scalability import ScalabilityModel
 from repro.core.ssd_planner import SsdSortPlan
-from repro.errors import BonsaiError
+from repro.errors import BonsaiError, ConfigurationError
 from repro.records.workloads import WorkloadSpec, generate
 from repro.units import GB, KB, MB, TB, format_bytes, format_seconds
 
@@ -64,10 +64,13 @@ def _parse_jobs(text: str) -> int | str:
     return jobs
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_flag(
+    parser: argparse.ArgumentParser,
+    work: str = "independent units of work",
+) -> None:
     parser.add_argument(
         "--jobs", type=_parse_jobs, default=None, metavar="N",
-        help="worker processes for independent work (a count or 'auto'; "
+        help=f"worker processes for {work} (a count or 'auto'; "
              "default: serial, results are identical either way)")
 
 
@@ -120,7 +123,7 @@ def _configure_sort(srt: argparse.ArgumentParser) -> None:
                      help="also print the sorted output's sha256 content "
                           "digest (the identity served results are "
                           "compared against)")
-    _add_jobs_flag(srt)
+    _add_jobs_flag(srt, "the --cluster-nodes node sorts, which it requires")
     _add_obs_flags(srt)
 
 
@@ -318,10 +321,14 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             print(f"wrote {args.output}")
         return 0
 
+    if args.jobs is not None:
+        raise ConfigurationError(
+            "--jobs requires --cluster-nodes: a single-tree sort is one "
+            "unit of work and runs in one process"
+        )
     from repro.serve import SortJob, SortSession
 
-    session = SortSession(jobs=args.jobs)
-    payload = session.run_sort(SortJob(
+    payload = SortSession().run_sort(SortJob(
         records=args.records,
         workload=args.workload,
         seed=args.seed,

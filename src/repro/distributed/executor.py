@@ -36,7 +36,6 @@ observability disabled.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -65,6 +64,7 @@ from repro.parallel.workers import (
     worker_cluster_node_sort,
     worker_exchange_partition,
 )
+from repro.records.valsort import content_digest
 from repro.units import ms_per_gb
 
 #: Straggler injection modes: ``kill`` SIGKILLs the node's worker
@@ -140,13 +140,6 @@ def _default_hardware() -> HardwareParams:
     from repro.core import presets
 
     return presets.aws_f1_measured().hardware
-
-
-def _output_digest(values: np.ndarray) -> str:
-    """Order-sensitive content digest (same shape as the bench gate's)."""
-    return hashlib.sha256(
-        np.ascontiguousarray(values, dtype=np.uint64).tobytes()
-    ).hexdigest()[:16]
 
 
 @dataclass
@@ -300,7 +293,7 @@ class ClusterExecutor:
                     f"executed cluster sort diverged from the serial oracle "
                     f"({int(output.size)} records out vs {int(oracle.size)} in)"
                 )
-            digest = _output_digest(output)
+            digest = content_digest(output)
             sort_span.set(
                 skew=round(layout.skew, 4),
                 straggler_recovered=recovered,

@@ -27,7 +27,6 @@ from repro.hw.terminal import SENTINEL_KEY
 from repro.hw.tree import simulate_merge
 from repro.memory.traffic import TrafficMeter
 from repro.obs.runtime import observation
-from repro.parallel.plan import ParallelPlan
 from repro.parallel.shm import unsigned_keys
 
 
@@ -47,13 +46,6 @@ class AmtSorter:
         Bitonic presorter run length (1 disables; §VI-C uses 16).
     mode:
         ``"model"`` or ``"simulate"``.
-    parallel:
-        Optional :class:`~repro.parallel.plan.ParallelPlan` sharding
-        each model-mode stage's independent merge groups across a
-        worker pool; results are bit-identical with or without a plan.
-        Simulate mode ignores it: a stage's groups stream through one
-        tree back to back, so each stage is one joint simulation and no
-        plan changes a simulated cycle.
 
     Simulate mode takes uint64 keys below the simulator's pad sentinel
     2**64 - 1 (DESIGN.md §6); other keys raise
@@ -65,7 +57,6 @@ class AmtSorter:
     arch: MergerArchParams = field(default_factory=MergerArchParams)
     presort_run: int = 16
     mode: str = "model"
-    parallel: ParallelPlan | None = None
 
     def __post_init__(self) -> None:
         if self.config.lambda_unroll != 1 or self.config.lambda_pipe != 1:
@@ -122,7 +113,7 @@ class AmtSorter:
                             cycles=round(stage_seconds * self.arch.frequency_hz)
                         )
                     else:
-                        runs = self._run_stage_model(runs)
+                        runs = merge_stage(runs, self.config.leaves)
                         stage_seconds = (
                             data.size * record_bytes / self.stage_rate
                         )
@@ -147,14 +138,6 @@ class AmtSorter:
         )
 
     # ------------------------------------------------------------------
-    def _run_stage_model(self, runs: list[np.ndarray]) -> list[np.ndarray]:
-        """One functional merge stage, sharded when a plan is attached."""
-        if self.parallel is None:
-            return merge_stage(runs, self.config.leaves)
-        from repro.parallel.api import merge_stage_sharded
-
-        return merge_stage_sharded(runs, self.config.leaves, self.parallel)
-
     def _run_stage_simulated(
         self, runs: list[np.ndarray]
     ) -> tuple[list[np.ndarray], float]:

@@ -1,20 +1,19 @@
 """The parallel execution plan: one policy object for every sharded loop.
 
 Every independently-executable unit of work in the reproduction — the
-merge groups of one stage, the λ_unrl trees of an unrolled sort, the
+λ_unrl trees of an unrolled sort, the node shards of a cluster sort, the
 configuration chunks of an optimizer sweep, the scenarios of a bench
-run — goes through one entry point, :meth:`ParallelPlan.map`.  The plan
-decides *how* the map runs (a process pool or a plain loop); it never
-changes *what* is computed, so results are bit-identical across every
-``jobs`` setting by construction: the same module-level worker function
-is applied to the same task list in the same order, and the reduction is
-order-stable (results land at their task's index, never in completion
-order).
+run, the jobs of a serve batch — goes through one entry point,
+:meth:`ParallelPlan.map`.  One unit is always a whole tree, shard, chunk,
+scenario or job, never part of one stage.  The plan decides *how* the
+map runs (a process pool or a plain loop); it never changes *what* is
+computed, so results are bit-identical across every ``jobs`` setting by
+construction: the same module-level worker function is applied to the
+same task list in the same order, and the reduction is order-stable
+(results land at their task's index, never in completion order).
 
-Serial execution is forced — regardless of ``jobs`` — when any of these
-hold:
+The map runs as a plain loop in the parent when any of these hold:
 
-* ``backend="serial"`` was requested explicitly;
 * ``jobs`` resolves to 1, or there are fewer than two tasks;
 * the platform cannot ``fork`` (process workers would re-import the
   world per task under ``spawn``, which costs more than it saves for
@@ -87,11 +86,8 @@ class ParallelPlan:
     Parameters
     ----------
     jobs:
-        Worker count, or ``"auto"`` for the machine's CPU count.
-    backend:
-        ``"process"`` (default) shards across a process pool;
-        ``"serial"`` runs a plain loop in the parent (useful to compare
-        against, and what every serial-forcing condition degrades to).
+        Worker count, or ``"auto"`` for the machine's CPU count; 1 runs
+        a plain loop in the parent.
     chunk_size:
         Tasks per pool submission, or ``"auto"`` to split the task list
         into about four chunks per worker (amortises pickling for many
@@ -102,7 +98,6 @@ class ParallelPlan:
     """
 
     jobs: int | str = 1
-    backend: str = "process"
     chunk_size: int | str = "auto"
     task_timeout: float | None = None
 
@@ -114,10 +109,6 @@ class ParallelPlan:
                 )
         elif self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.backend not in ("process", "serial"):
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected 'process' or 'serial'"
-            )
         if isinstance(self.chunk_size, str):
             if self.chunk_size != "auto":
                 raise ConfigurationError(
@@ -137,17 +128,13 @@ class ParallelPlan:
     @classmethod
     def serial(cls) -> "ParallelPlan":
         """The do-nothing plan: a plain loop in the parent."""
-        return cls(jobs=1, backend="serial")
+        return cls(jobs=1)
 
     @classmethod
     def from_jobs(cls, jobs: int | str | None) -> "ParallelPlan | None":
         """CLI adapter: ``None`` stays ``None`` (caller keeps its default
-        path), 1 forces serial, anything else shards."""
-        if jobs is None:
-            return None
-        if jobs == 1:
-            return cls.serial()
-        return cls(jobs=jobs)
+        path); a count or ``"auto"`` becomes a plan (1 runs serially)."""
+        return None if jobs is None else cls(jobs=jobs)
 
     # ------------------------------------------------------------------
     def resolve_jobs(self) -> int:
@@ -159,8 +146,7 @@ class ParallelPlan:
     def wants_processes(self, n_tasks: int) -> bool:
         """True when this map should actually shard across a pool."""
         return (
-            self.backend == "process"
-            and n_tasks > 1
+            n_tasks > 1
             and self.resolve_jobs() > 1
             and "fork" in multiprocessing.get_all_start_methods()
             # Pool workers are not daemonic on every Python (3.11's

@@ -237,8 +237,7 @@ class _Server:
             if not batch:
                 return
             tasks = [
-                (job.payload[2].kind, job.payload[2].params(), None)
-                for job in batch
+                (job.payload[2].kind, job.payload[2].params()) for job in batch
             ]
             try:
                 outcomes = await loop.run_in_executor(
@@ -308,7 +307,8 @@ async def _flush(writer: asyncio.StreamWriter) -> None:
 def _execute_batch(session: SortSession, tasks: list) -> list:
     """Run one dequeued batch (executor thread).
 
-    A multi-job batch fans out across the parallel pool — one
+    ``tasks`` holds one ``(kind, params)`` pair per job.  A multi-job
+    batch fans out across the parallel pool — one
     :func:`worker_serve_job` per job, each in a stateless worker
     process; smaller batches run on the daemon's own memoized session.
     Both paths execute :func:`~repro.serve.session.execute_payload`, so
@@ -317,9 +317,7 @@ def _execute_batch(session: SortSession, tasks: list) -> list:
     plan = session.plan
     if plan is not None and len(tasks) > 1 and plan.wants_processes(len(tasks)):
         return plan.map(worker_serve_job, tasks)
-    return [
-        execute_payload(session, kind, params) for kind, params, _jobs in tasks
-    ]
+    return [execute_payload(session, kind, params) for kind, params in tasks]
 
 
 async def _serve_async(config: ServeConfig, control: ServeControl | None) -> int:

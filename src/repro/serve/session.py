@@ -7,7 +7,9 @@ to a :class:`SortSession`.  The session owns everything those surfaces
 used to build ad hoc:
 
 * platform preset resolution (cached per name);
-* the :class:`~repro.parallel.plan.ParallelPlan` every sharded loop uses;
+* the :class:`~repro.parallel.plan.ParallelPlan` its optimizer sweeps,
+  benches and serve batches shard over (a sort job is one unit of work
+  and runs in the calling process at every ``jobs`` setting);
 * one memoized :class:`~repro.core.optimizer.Bonsai` per optimizer key,
   so a long-lived daemon amortizes sweep evaluation across requests;
 * job execution returning plain JSON-shaped payloads.
@@ -252,7 +254,6 @@ class SortSession:
             hardware=platform.hardware,
             arch=MergerArchParams(),
             mode=job.mode,
-            parallel=self.plan,
         )
         outcome = sorter.sort(data)
         with obs.span("sort.validate", records=len(data)):

@@ -20,19 +20,16 @@ from __future__ import annotations
 def worker_serve_job(task: tuple) -> tuple:
     """Execute one served job in a pool process.
 
-    ``task = (kind, params, jobs)`` where ``kind``/``params`` are the
-    protocol-level job description and ``jobs`` is the nested
-    parallelism budget for the job itself (always ``None`` today: a
-    pool child must not fork grandchildren, and
-    :meth:`ParallelPlan.wants_processes` refuses in any process that
-    has a ``multiprocessing.parent_process()`` — passing it explicitly
-    keeps the contract visible).  Returns
+    ``task = (kind, params)``, the protocol-level job description.
+    The job runs on a plan-free session: a pool child never forks
+    grandchildren (:meth:`ParallelPlan.wants_processes` refuses in any
+    process that has a ``multiprocessing.parent_process()``).  Returns
     ``("ok", payload)`` or ``("error", message)``.
     """
     from repro.serve.session import SortSession, execute_payload
 
-    kind, params, jobs = task
-    return execute_payload(SortSession(jobs=jobs), kind, params)
+    kind, params = task
+    return execute_payload(SortSession(), kind, params)
 
 
 #: Names re-exported for the ``worker-entry`` check's allow-list tests.

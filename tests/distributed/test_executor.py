@@ -7,14 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.distributed.executor import (
-    ClusterExecutor,
-    StragglerSpec,
-    _output_digest,
-)
+from repro.distributed.executor import ClusterExecutor, StragglerSpec
 from repro.errors import ConfigurationError
 from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
+from repro.records.valsort import content_digest
 from repro.records.workloads import skewed_nearly_sorted
 
 
@@ -26,7 +23,7 @@ def data() -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def oracle_digest(data) -> str:
-    return _output_digest(np.sort(data, kind="stable"))
+    return content_digest(np.sort(data, kind="stable"))
 
 
 class TestSerialExecution:
@@ -36,6 +33,12 @@ class TestSerialExecution:
         assert np.array_equal(report.data, np.sort(data))
         assert report.records == data.size
         assert sum(report.partition_records) == data.size
+
+    def test_digest_is_the_records_content_digest(self, data):
+        # One digest for every surface: a cluster sort's output is
+        # fingerprinted exactly like a served or bench sort's.
+        report = ClusterExecutor(nodes=2).execute(data)
+        assert report.digest == content_digest(np.sort(data))
 
     def test_phase_times_compose_elapsed(self, data):
         report = ClusterExecutor(nodes=4).execute(data)
@@ -86,7 +89,7 @@ class TestSkewedWorkload:
     def test_zipf_nearly_sorted_still_bit_exact(self):
         skewed = np.asarray(skewed_nearly_sorted(20_000, seed=1), dtype=np.uint64)
         report = ClusterExecutor(nodes=4).execute(skewed)
-        assert report.digest == _output_digest(np.sort(skewed, kind="stable"))
+        assert report.digest == content_digest(np.sort(skewed, kind="stable"))
         # The oversampled sketch keeps even an adversarial histogram
         # within a modest skew; the report carries the measured number.
         assert 1.0 <= report.measured_skew < 4.0

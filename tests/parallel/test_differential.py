@@ -1,11 +1,12 @@
 """Differential suite: parallel == serial, bit for bit.
 
 The acceptance contract of the execution layer — for every surface that
-takes a plan (model-mode merge stages, simulate-mode sorts, unrolled
-trees in both modes, optimizer rankings), every ``jobs`` setting must
-reproduce the plan-free results exactly: sorted bytes, modeled seconds,
-cycle counts, traffic and ranking order.  Each surface is exercised
-across at least three jobs settings and eight workload seeds.
+takes a plan or a ``jobs`` setting (single-tree sessions in both modes,
+unrolled trees in both modes, optimizer rankings), every ``jobs``
+setting must reproduce the plan-free results exactly: sorted bytes,
+modeled seconds, cycle counts, traffic and ranking order.  Each surface
+is exercised across at least three jobs settings and eight workload
+seeds.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from repro.core.configuration import AmtConfig
 from repro.core.optimizer import Bonsai
 from repro.core.parameters import ArrayParams, MergerArchParams
 from repro.engine.sorter import AmtSorter
-from repro.engine.stage import merge_stage, split_into_runs
 from repro.engine.unrolled import UnrolledSorter
 from repro.errors import ConfigurationError
+from repro.obs.runtime import activated, live_observation
 from repro.parallel import ParallelPlan
-from repro.parallel.api import merge_stage_sharded
+from repro.records.workloads import WorkloadSpec, generate
+from repro.serve import SortJob, SortSession
 from repro.units import GB
 
 SEEDS = tuple(range(8))
@@ -35,6 +37,9 @@ JOBS_SETTINGS = (
     ParallelPlan(jobs=4, chunk_size=2),
     ParallelPlan(jobs="auto"),
 )
+
+#: The ``SortSession``/CLI ``--jobs`` spellings, ``None`` (no plan) first.
+SESSION_JOBS = (None, 1, 2, "auto")
 
 
 @pytest.fixture(scope="module")
@@ -53,99 +58,79 @@ def outcomes_identical(left, right) -> bool:
     )
 
 
-class TestMergeStage:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_sharded_stage_matches_serial(self, seed):
-        rng = np.random.default_rng(seed)
-        runs = split_into_runs(rng.integers(0, 1 << 30, size=3000), 64)
-        serial = merge_stage(list(runs), 8)
-        for plan in JOBS_SETTINGS:
-            sharded = merge_stage_sharded(list(runs), 8, plan)
-            assert len(sharded) == len(serial)
-            for left, right in zip(serial, sharded):
-                assert np.array_equal(left, right) and left.dtype == right.dtype
-
-    def test_mixed_dtype_runs_fall_back_to_serial(self):
-        runs = [
-            np.array([1, 5, 9], dtype=np.uint32),
-            np.array([2, 4], dtype=np.uint64),
-            np.array([3, 8], dtype=np.uint64),
-        ]
-        serial = merge_stage(list(runs), 2)
-        sharded = merge_stage_sharded(list(runs), 2, ParallelPlan(jobs=4))
-        for left, right in zip(serial, sharded):
-            assert np.array_equal(left, right) and left.dtype == right.dtype
-
-
 class TestAmtSorterModel:
+    """A model-mode sort is one unit of work: no ``jobs`` setting shards
+    it, so every session produces the same payload in one process."""
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_model_sort_matches_serial(self, hardware, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 1 << 30, size=4000)
-        serial = AmtSorter(
-            config=AmtConfig(p=8, leaves=8), hardware=hardware
-        ).sort(data)
-        for plan in JOBS_SETTINGS:
-            parallel = AmtSorter(
-                config=AmtConfig(p=8, leaves=8), hardware=hardware, parallel=plan
-            ).sort(data)
-            assert outcomes_identical(serial, parallel)
+    def test_model_sort_matches_serial(self, seed):
+        job = SortJob(records=4000, seed=seed, p=8, leaves=8, return_records=True)
+        payloads = [SortSession(jobs=jobs).run(job) for jobs in SESSION_JOBS]
+        data = generate(WorkloadSpec(kind="uniform", n_records=4000, seed=seed))
+        assert payloads[0]["keys"] == np.sort(data).tolist()
+        assert all(payload == payloads[0] for payload in payloads)
+
+    def test_session_with_jobs_opens_no_pool(self):
+        live = live_observation()
+        with activated(live):
+            SortSession(jobs=2).run(SortJob(records=20_000, mode="model"))
+        registry = live.registry
+        assert registry.counter_value("engine.sorts") == 1
+        assert registry.counter_value("parallel.maps", mode="pool") == 0
 
 
 class TestAmtSorterSimulate:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_simulate_sort_matches_across_jobs(self, hardware, seed):
-        """Simulate mode: every plan reproduces ``parallel=None`` exactly.
+        """Simulate mode: every session reproduces the plan-free sorter.
 
         A stage's groups stream through one tree back to back, so each
-        stage is one joint simulation whatever the plan; outputs *and*
-        cycle-derived seconds must agree bit for bit with the plan-free
-        sorter.
+        stage is one joint simulation whatever the session's ``jobs``;
+        outputs *and* cycle-derived seconds must agree bit for bit.
         """
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 1 << 30, size=900)
-        config = AmtConfig(p=8, leaves=8)
+        data = generate(WorkloadSpec(kind="uniform", n_records=900, seed=seed))
         reference = AmtSorter(
-            config=config, hardware=hardware, mode="simulate"
+            config=AmtConfig(p=8, leaves=8), hardware=hardware, mode="simulate"
         ).sort(data)
         assert np.array_equal(reference.data, np.sort(data))
-        for plan in JOBS_SETTINGS:
-            outcome = AmtSorter(
-                config=config,
-                hardware=hardware,
-                mode="simulate",
-                parallel=plan,
-            ).sort(data)
-            assert outcomes_identical(reference, outcome)
+        job = SortJob(
+            records=900, seed=seed, p=8, leaves=8, mode="simulate",
+            return_records=True,
+        )
+        payloads = [SortSession(jobs=jobs).run(job) for jobs in SESSION_JOBS]
+        assert payloads[0]["keys"] == reference.data.tolist()
+        assert payloads[0]["seconds"] == reference.seconds
+        assert payloads[0]["stages"] == reference.stages
+        assert all(payload == payloads[0] for payload in payloads)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stage_is_one_joint_simulation(self, hardware, seed):
-        """A multi-group stage costs the same cycles under every plan."""
+        """A multi-group stage costs the cycles of one tree run over all
+        of its groups back to back."""
+        from repro.hw.tree import simulate_merge
+
         rng = np.random.default_rng(seed)
         runs = [
             np.sort(rng.integers(0, 1000, size=int(rng.integers(10, 60))))
             for _ in range(8)
         ]
-
-        def stage(plan):
-            return AmtSorter(
-                config=AmtConfig(p=4, leaves=4),
-                hardware=hardware,
-                mode="simulate",
-                parallel=plan,
-            )._run_stage_simulated(list(runs))
-
-        reference_runs, reference_seconds = stage(None)
-        assert [run.tolist() for run in reference_runs] == [
+        sorter = AmtSorter(
+            config=AmtConfig(p=4, leaves=4), hardware=hardware, mode="simulate"
+        )
+        out_runs, seconds = sorter._run_stage_simulated(list(runs))
+        assert [run.tolist() for run in out_runs] == [
             np.sort(np.concatenate(runs[start : start + 4])).tolist()
             for start in (0, 4)
         ]
-        for plan in JOBS_SETTINGS:
-            out_runs, seconds = stage(plan)
-            assert seconds == reference_seconds
-            assert [run.tolist() for run in out_runs] == [
-                run.tolist() for run in reference_runs
-            ]
+        frequency = sorter.arch.frequency_hz
+        budget = hardware.beta_dram / frequency
+        _, stats = simulate_merge(
+            p=4, leaves=4, runs=[run.tolist() for run in runs],
+            record_bytes=sorter.arch.record_bytes,
+            read_bytes_per_cycle=budget, write_bytes_per_cycle=budget,
+            batch_bytes=min(hardware.batch_bytes, 1024),
+        )
+        assert seconds == stats.cycles / frequency
 
 
 class TestUnrolledModel:
@@ -312,12 +297,11 @@ class TestKeyRejection:
 
     @staticmethod
     def simulators(hardware):
-        amt = AmtConfig(p=2, leaves=2)
+        yield AmtSorter(
+            config=AmtConfig(p=2, leaves=2), hardware=hardware, mode="simulate"
+        ).sort
         unrolled = AmtConfig(p=2, leaves=2, lambda_unroll=2)
         for plan in (None, ParallelPlan(jobs=2)):
-            yield AmtSorter(
-                config=amt, hardware=hardware, mode="simulate", parallel=plan
-            ).sort
             yield UnrolledSorter(
                 config=unrolled, hardware=hardware, parallel=plan
             ).simulate

@@ -40,10 +40,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="jobs"):
             ParallelPlan(jobs="many")
 
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            ParallelPlan(backend="thread")
-
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ConfigurationError, match="chunk_size"):
             ParallelPlan(chunk_size=0)
@@ -73,7 +69,6 @@ class TestResolution:
         assert not ParallelPlan.serial().wants_processes(100)
         assert not ParallelPlan(jobs=1).wants_processes(100)
         assert not ParallelPlan(jobs=4).wants_processes(1)
-        assert not ParallelPlan(jobs=4, backend="serial").wants_processes(100)
         assert ParallelPlan(jobs=4).wants_processes(2)
 
     def test_pool_worker_refuses_nested_pool(self):

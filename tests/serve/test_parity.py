@@ -46,10 +46,13 @@ class TestSortDigestParity:
         assert direct == cli == served
 
     def test_serial_and_pooled_sessions_agree(self):
-        job = SortJob(records=4000, seed=21)
-        serial = SortSession(jobs=None).run(job)
-        pooled = SortSession(jobs=2).run(job)
-        assert serial == pooled
+        for job in (
+            SortJob(records=4000, seed=21),
+            SortJob(records=2000, seed=21, mode="simulate"),
+        ):
+            serial = SortSession(jobs=None).run(job)
+            pooled = SortSession(jobs=2).run(job)
+            assert serial == pooled
 
 
 class TestOptimizeParity:

@@ -118,6 +118,15 @@ class TestClusterSort:
         assert main(["sort", "--records", "100", "--cluster-nodes", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_jobs_without_cluster_is_usage_error(self, capsys):
+        # One tree is one unit of work: --jobs would be accepted and
+        # change nothing, so it is refused instead.
+        assert main(["sort", "--records", "100", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert "--cluster-nodes" in captured.err
+        assert captured.out == ""
+
 
 class TestScalability:
     def test_prints_curve_and_breakpoints(self, capsys):
